@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.common.ids import DataItemId, TxnId
 from repro.history.committed import CommittedProjection
-from repro.history.graphs import commit_order_graph, find_cycle
+from repro.history.graphs import DiGraph, commit_order_graph, find_cycle
 from repro.history.model import OpKind, Operation
 
 
@@ -97,7 +95,10 @@ def serialization_constraints(
       every (other) committed writer of that item.
     """
     constraints: List[OrderingConstraint] = []
-    committed_writers: Dict[Tuple[str, DataItemId], Set[TxnId]] = {}
+    #: item -> its committed writers, in first-write order (a dict, not
+    #: a set, so the constraint list and its cycle do not depend on
+    #: hash values, which vary from process to process)
+    committed_writers: Dict[Tuple[str, DataItemId], Dict[TxnId, None]] = {}
     committed_subtxns = projection.ops and {
         op.subtxn
         for op in projection.ops
@@ -105,7 +106,7 @@ def serialization_constraints(
     } or set()
     for op in projection.ops:
         if op.kind is OpKind.WRITE and op.subtxn in committed_subtxns:
-            committed_writers.setdefault((op.site, op.item), set()).add(op.txn)
+            committed_writers.setdefault((op.site, op.item), {})[op.txn] = None
 
     seen: Set[Tuple[TxnId, TxnId, str]] = set()
 
@@ -130,7 +131,7 @@ def serialization_constraints(
             # useful conservative fact: the reader precedes none of
             # them necessarily — skip (kept simple and sound).
         else:
-            for writer in committed_writers.get((entry.site, entry.item), set()):
+            for writer in committed_writers.get((entry.site, entry.item), ()):
                 add(
                     entry.reader,
                     writer,
@@ -186,7 +187,7 @@ def explain(projection: CommittedProjection) -> Explanation:
     explanation.reads_from = reads_from_table(projection)
     explanation.constraints = serialization_constraints(projection)
 
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for constraint in explanation.constraints:
         graph.add_edge(constraint.before, constraint.after)
     explanation.constraint_cycle = find_cycle(graph)

@@ -55,7 +55,9 @@ def check_rigorous(
     site's projection at once.
     """
     violations: List[RigorViolation] = []
-    #: Per item: operations seen so far by incarnations not yet terminated.
+    #: Per item: operations seen so far by incarnations not yet terminated
+    #: (pruned as it is scanned, so the list stays as short as the set of
+    #: incarnations concurrently open on the item).
     open_ops: Dict[Tuple[str, object], List[Operation]] = {}
     terminated: Set[SubtxnId] = set()
 
@@ -69,13 +71,17 @@ def check_rigorous(
         if op.kind not in (OpKind.READ, OpKind.WRITE):
             continue
         key = (op.site, op.item)
-        earlier_ops = open_ops.setdefault(key, [])
-        for earlier in earlier_ops:
-            if earlier.subtxn == op.subtxn or earlier.subtxn in terminated:
+        still_open = []
+        for earlier in open_ops.get(key, ()):
+            if earlier.subtxn in terminated:
+                continue
+            still_open.append(earlier)
+            if earlier.subtxn == op.subtxn:
                 continue
             if earlier.kind is OpKind.WRITE or op.kind is OpKind.WRITE:
                 violations.append(RigorViolation(first=earlier, second=op))
-        earlier_ops.append(op)
+        still_open.append(op)
+        open_ops[key] = still_open
     return violations
 
 

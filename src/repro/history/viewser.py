@@ -31,14 +31,18 @@ sufficient criterion: CI + DLU + SRS + acyclic CG).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.common.ids import SubtxnId, TxnId
 from repro.history.committed import CommittedProjection
-from repro.history.graphs import serialization_graph, topological_order
+from repro.history.graphs import (
+    DiGraph,
+    condensation_order,
+    serialization_graph,
+    strongly_connected_components,
+    topological_order,
+)
 from repro.history.model import OpKind, Operation
 
 #: A site-qualified item key in the replay store.
@@ -127,8 +131,13 @@ def _final_tags(projection: CommittedProjection) -> Dict[_ItemKey, _Source]:
 def check_view_serializable(
     projection: CommittedProjection,
     max_txns: int = 9,
+    sg: Optional[DiGraph] = None,
 ) -> ViewSerializabilityResult:
-    """Decide whether ``C(H)`` is view serializable (see module docs)."""
+    """Decide whether ``C(H)`` is view serializable (see module docs).
+
+    ``sg`` is ``SG`` over ``projection.data_ops()``, for a caller that
+    has already built it; it is built here otherwise.
+    """
     blocks = _blocks(projection)
     txns = sorted(blocks)
     if not txns:
@@ -161,10 +170,12 @@ def check_view_serializable(
 
     # Fast path: acyclic SG -> conflict serializable -> view serializable
     # (still verified by replay for defence in depth).
-    sg = serialization_graph(projection.data_ops())
+    if sg is None:
+        sg = serialization_graph(projection.data_ops())
     topo = topological_order(sg)
     if topo is not None:
-        full = topo + [txn for txn in txns if txn not in set(topo)]
+        in_topo = set(topo)
+        full = topo + [txn for txn in txns if txn not in in_topo]
         if try_order(full):
             return ViewSerializabilityResult(
                 True, order=full, permutations_tried=1, reason="SG acyclic"
@@ -202,30 +213,8 @@ def check_view_serializable(
         )
 
     # Exact search with prefix pruning.
-
-    def search(
-        remaining: List[TxnId], tags: Dict[_ItemKey, _Source], prefix: List[TxnId]
-    ) -> Optional[List[TxnId]]:
-        nonlocal tried
-        if not remaining:
-            if _tags_match(tags, target_tags):
-                return list(prefix)
-            return None
-        for txn in remaining:
-            tried += 1
-            branch = dict(tags)
-            if _replay_block(branch, blocks[txn], recorded[txn]) is None:
-                continue
-            prefix.append(txn)
-            result = search(
-                [other for other in remaining if other != txn], branch, prefix
-            )
-            if result is not None:
-                return result
-            prefix.pop()
-        return None
-
-    witness = search(txns, {}, [])
+    witness, exact_tried = _search_orders([txns], blocks, recorded, target_tags)
+    tried += exact_tried
     if witness is not None:
         return ViewSerializabilityResult(
             True, order=witness, permutations_tried=tried, reason="exact search"
@@ -238,7 +227,7 @@ def check_view_serializable(
 
 
 def _search_scc_residue(
-    sg: "nx.DiGraph",
+    sg: DiGraph,
     txns: Sequence[TxnId],
     blocks: Dict[TxnId, List[Operation]],
     recorded: Dict[TxnId, List[_Source]],
@@ -256,53 +245,63 @@ def _search_scc_residue(
     exponential as the full one), or when a single SCC spans every
     transaction (the full search would repeat the identical work).
     """
-    components = list(nx.strongly_connected_components(sg))
+    components = strongly_connected_components(sg)
     largest = max((len(c) for c in components), default=0)
     if largest <= 1 or largest > max_txns or largest >= len(txns):
         return None, 0
-    condensation = nx.condensation(sg)
-    groups = [
-        sorted(condensation.nodes[cid]["members"])
-        for cid in nx.topological_sort(condensation)
-    ]
+    groups = [sorted(members) for members in condensation_order(sg, components)]
     in_sg = set(sg.nodes)
     groups.extend([txn] for txn in txns if txn not in in_sg)
+    return _search_orders(groups, blocks, recorded, target_tags)
+
+
+def _search_orders(
+    groups: List[List[TxnId]],
+    blocks: Dict[TxnId, List[Operation]],
+    recorded: Dict[TxnId, List[_Source]],
+    target_tags: Dict[_ItemKey, _Source],
+) -> Tuple[Optional[List[TxnId]], int]:
+    """Depth-first search over the serial orders that place ``groups``
+    one after another, each group in any internal order.
+
+    A candidate block is replayed on a copy of its prefix's tags and the
+    branch is pruned as soon as a read misreads; a complete order is a
+    witness when its final tags match ``target_tags``.  Candidates are
+    tried in the order each group lists them.  An explicit stack of
+    frames stands in for recursion, so a history of any length is
+    searched under the interpreter's default recursion limit.  Returns
+    ``(witness_or_None, candidates_tried)``.
+    """
     tried = 0
-
-    def search_groups(
-        index: int, tags: Dict[_ItemKey, _Source], prefix: List[TxnId]
-    ) -> Optional[List[TxnId]]:
-        if index == len(groups):
-            return list(prefix) if _tags_match(tags, target_tags) else None
-        return search_within(groups[index], index, tags, prefix)
-
-    def search_within(
-        remaining: List[TxnId],
-        index: int,
-        tags: Dict[_ItemKey, _Source],
-        prefix: List[TxnId],
-    ) -> Optional[List[TxnId]]:
-        nonlocal tried
-        if not remaining:
-            return search_groups(index + 1, tags, prefix)
-        for txn in remaining:
-            tried += 1
-            branch = dict(tags)
-            if _replay_block(branch, blocks[txn], recorded[txn]) is None:
-                continue
-            prefix.append(txn)
-            result = search_within(
-                [other for other in remaining if other != txn],
-                index,
-                branch,
-                prefix,
-            )
-            if result is not None:
-                return result
+    prefix: List[TxnId] = []
+    #: one frame per open level: [group index, candidates left, tags, cursor]
+    frames: List[list] = [[0, groups[0], {}, 0]]
+    while frames:
+        frame = frames[-1]
+        index, remaining, tags, cursor = frame
+        if cursor == len(remaining):
+            frames.pop()
+            if frames:
+                prefix.pop()
+            continue
+        frame[3] = cursor + 1
+        txn = remaining[cursor]
+        tried += 1
+        branch = dict(tags)
+        if _replay_block(branch, blocks[txn], recorded[txn]) is None:
+            continue
+        prefix.append(txn)
+        rest = [other for other in remaining if other != txn]
+        while not rest and index + 1 < len(groups):
+            index += 1
+            rest = groups[index]
+        if rest:
+            frames.append([index, rest, branch, 0])
+        elif _tags_match(branch, target_tags):
+            return list(prefix), tried
+        else:
             prefix.pop()
-        return None
-
-    return search_groups(0, {}, []), tried
+    return None, tried
 
 
 def _tags_match(

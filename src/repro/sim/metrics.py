@@ -319,12 +319,15 @@ class CorrectnessAudit:
 
 
 def audit(system: MultidatabaseSystem, max_txns: int = 9) -> CorrectnessAudit:
-    """Run every checker over ``system``'s recorded history."""
+    """Run every checker over ``system``'s recorded history.
+
+    ``C(H)`` and its ``SG`` are built once and shared by the checkers.
+    """
     projection = committed_projection(system.history)
-    view = check_view_serializable(projection, max_txns=max_txns)
+    sg = serialization_graph(projection.data_ops())
+    view = check_view_serializable(projection, max_txns=max_txns, sg=sg)
     distortions = find_distortions(projection)
     violations = check_rigorous(system.history.ops)
-    sg = serialization_graph(projection.data_ops())
     return CorrectnessAudit(
         projection=projection,
         view_serializability=view,

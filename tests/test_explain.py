@@ -62,6 +62,16 @@ class TestConstraints:
             for c in constraints
         )
 
+    def test_initial_read_constraints_follow_first_write_order(self):
+        """Not hash order: ids of global transactions hash differently
+        from one process to the next."""
+        h = HistoryBuilder()
+        h.r(1, "a", "X").c(1).cl(1, "a")
+        for number in (5, 3, 9, 2, 7):
+            h.w(number, "a", "X").c(number).cl(number, "a")
+        constraints = serialization_constraints(committed_projection(h.history))
+        assert [c.after.number for c in constraints] == [5, 3, 9, 2, 7]
+
 
 class TestExplain:
     def test_h2_cycle_extracted(self):

@@ -1,5 +1,9 @@
 """Unit tests for SG(H) and CG(H) (repro.history.graphs)."""
 
+import os
+import subprocess
+import sys
+
 from repro.common.ids import global_txn, local_txn
 from repro.history.graphs import (
     commit_order_graph,
@@ -133,3 +137,21 @@ class TestDotExport:
 
         h = HistoryBuilder()
         assert to_dot(serialization_graph(h.history.ops)) == "digraph G {\n}"
+
+
+class TestNoGraphLibraryAtRuntime:
+    def test_audit_of_h2_imports_no_networkx(self):
+        """The history layer carries its own graph kernel: a full audit
+        must not import ``networkx``, even when it is installed."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys\n"
+            "from repro.sim.metrics import audit\n"
+            "from repro.workload.scenarios import run_h2\n"
+            "cycle = audit(run_h2('naive').system).distortions.commit_graph_cycle\n"
+            "assert [t.label for t in cycle] == ['T1', 'T3', 'L4', 'T1'], cycle\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

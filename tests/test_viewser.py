@@ -5,6 +5,8 @@ so hand-built histories carry exactly the reads-from information the
 live system records.
 """
 
+import sys
+
 from repro.common.ids import global_txn
 from repro.history.committed import committed_projection
 from repro.history.viewser import check_view_serializable
@@ -158,3 +160,56 @@ class TestSearchBounds:
         h.w(2, "a", "X").cl(2, "a").c(2)
         result = check(h)
         assert result.permutations_tried >= 1
+
+
+class TestLongHistories:
+    def test_thousand_globals_audit_under_the_default_recursion_limit(self, tmp_path):
+        """1 000 globals + 250 locals under the hardened recipe (indexed
+        certifier, WAL, session and overload layers, 30 % unilateral
+        aborts).  This seed's SG has small cycles, so the SCC-guided
+        search places all ~1 250 transactions one level deeper each; a
+        search that recursed per level overflowed the default limit."""
+        from repro.core.dtm import MultidatabaseSystem, SystemConfig
+        from repro.durability.config import DurabilityConfig
+        from repro.net.reliable import ReliableConfig
+        from repro.overload.config import OverloadConfig
+        from repro.sim.driver import run_schedule
+        from repro.sim.failures import RandomFailureInjector, invariant_battery
+        from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+
+        seed = 0
+        system = MultidatabaseSystem(
+            SystemConfig(
+                sites=("a", "b", "c"),
+                n_coordinators=2,
+                seed=seed,
+                certifier_engine="indexed",
+                durability=DurabilityConfig(root=str(tmp_path)),
+                reliable=ReliableConfig(),
+                overload=OverloadConfig(),
+            )
+        )
+        RandomFailureInjector(system, probability=0.3, seed=seed)
+        schedule = WorkloadGenerator(
+            WorkloadConfig(
+                n_global=1000,
+                n_local=250,
+                sites_max=2,
+                mean_interarrival=8.0,
+                seed=seed,
+            )
+        ).generate()
+        run_schedule(system, schedule)
+        system.close()
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            result = check_view_serializable(committed_projection(system.history))
+            violations = invariant_battery(system, include_ci=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.serializable is True
+        assert result.reason == "SCC-guided search"
+        assert len(result.order) > 1000
+        assert violations == []

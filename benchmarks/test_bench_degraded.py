@@ -4,13 +4,8 @@ Runs the same seeded workload over a perfect wire and over lossy wires
 (1% and 5% per-message drop) with the session layer repairing the
 damage, and measures what the degradation costs: committed throughput,
 retransmission overhead, and duplicate suppression.  Publishes the
-table like every other experiment and additionally writes the
-machine-readable ``BENCH_chaos.json`` at the repo root (same pattern
-as ``BENCH_kernel.json`` / ``BENCH_e2e.json``).
+table like every other experiment.
 """
-
-import json
-import os
 
 from repro.core.coordinator import CoordinatorTimeouts
 from repro.core.dtm import MultidatabaseSystem, SystemConfig
@@ -34,10 +29,6 @@ HEADERS = [
 ]
 
 LOSS_LEVELS = (0.0, 0.01, 0.05)
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_chaos.json",
-)
 
 
 def _run_at(loss: float):
@@ -84,28 +75,19 @@ def _sweep():
         )
         records.append(
             {
-                "loss": loss,
                 "committed": m.global_committed,
                 "aborted": m.global_aborted,
-                "throughput": m.throughput,
-                "mean_latency": m.mean_latency,
-                "sim_time": m.sim_time,
-                "messages": m.messages,
                 "messages_lost": m.messages_lost,
                 "retransmits": m.retransmits,
                 "retransmit_overhead": overhead,
-                "dups_dropped": m.dups_dropped,
                 "dead_letters": m.dead_letters,
             }
         )
-    with open(BENCH_PATH, "w") as handle:
-        json.dump({"experiment": "degraded_mode", "levels": records}, handle, indent=2)
     return rows, records
 
 
 def test_bench_degraded_mode(benchmark):
-    rows_and_records = run_experiment(benchmark, _sweep)
-    rows, records = rows_and_records
+    rows, records = run_experiment(benchmark, _sweep)
     publish(
         "E12_degraded",
         "E12: throughput under message loss (session layer on)",
@@ -128,4 +110,3 @@ def test_bench_degraded_mode(benchmark):
     assert five["dead_letters"] == 0
     # Commits survive degradation (the whole point of the layer).
     assert five["committed"] > 0
-    assert os.path.exists(BENCH_PATH)

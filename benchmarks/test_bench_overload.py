@@ -7,13 +7,8 @@ backoff + breakers), and measures what protection buys: at light load
 the layer is invisible; at 16x the unprotected system loses most of
 its throughput to certification conflicts and head-of-line commit
 delays, while the shedding system refuses the excess at BEGIN and
-keeps committing.  Publishes the table like every other experiment and
-writes the machine-readable ``BENCH_overload.json`` at the repo root
-(same pattern as ``BENCH_kernel.json`` / ``BENCH_chaos.json``).
+keeps committing.  Publishes the table like every other experiment.
 """
-
-import json
-import os
 
 from repro.sim.overload import OverloadDrillConfig, run_overload
 
@@ -32,10 +27,6 @@ HEADERS = [
 
 LOAD_LEVELS = (1.0, 4.0, 16.0)
 SEED = 1
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_overload.json",
-)
 
 
 def _run_at(load: float, shed: bool):
@@ -66,20 +57,12 @@ def _sweep():
                     "shed": shed,
                     "submitted": r.submitted,
                     "committed": r.committed,
-                    "aborted": r.aborted,
                     "goodput": r.goodput,
-                    "sim_time": r.sim_time,
                     "ok": r.ok,
                     "counters": r.counters,
                     "violations": [v.to_dict() for v in r.violations],
                 }
             )
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(
-            {"experiment": "overload_shedding", "seed": SEED, "levels": records},
-            handle,
-            indent=2,
-        )
     return rows, records
 
 

@@ -16,9 +16,6 @@ Commands
     Run the full experiment library into one Markdown report.
 ``workload [--method M] [--failures P] [--globals N] ...``
     Run a random workload and print metrics + audit.
-``bench [--out DIR] [--quick] [--repeat N]``
-    Run the substrate perf harness; writes ``BENCH_kernel.json`` and
-    ``BENCH_e2e.json`` (see docs/PERF.md).
 ``chaos [--seed N] [--duration T] [--wal] [--json PATH]``
     Run the seeded chaos nemesis (loss + duplication + delay spikes +
     partitions + agent crashes), heal, and assert the invariant
@@ -46,6 +43,10 @@ Commands
     (see docs/DEPLOY.md).
 ``methods``
     List the method presets.
+
+Performance is not measured here: ``python3 benchmarks/e2e/run.py``
+(declared by ``BENCHMARK.json``, see ``benchmarks/e2e/README.md``) is
+the repository's one benchmark.
 """
 
 from __future__ import annotations
@@ -280,17 +281,6 @@ def _cmd_methods(_args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.sim.perf import main as bench_main
-
-    code = bench_main(out_dir=args.out, quick=args.quick, repeats=args.repeat)
-    if code == 0 and not args.no_federation:
-        from repro.rt.bench import main as federation_main
-
-        code = federation_main(out_dir=args.out, quick=args.quick)
-    return code
-
-
 def _cmd_chaos(args) -> int:
     import contextlib
     import json
@@ -400,22 +390,6 @@ def main(argv=None) -> int:
     workload.add_argument("--failures", type=float, default=0.0)
     workload.add_argument("--seed", type=int, default=0)
 
-    bench = sub.add_parser(
-        "bench", help="run the perf harness -> BENCH_*.json artifacts"
-    )
-    bench.add_argument("--out", default=".", help="artifact directory")
-    bench.add_argument(
-        "--quick", action="store_true", help="smoke pass (fewer repeats)"
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=None, help="repeats per micro-benchmark"
-    )
-    bench.add_argument(
-        "--no-federation",
-        action="store_true",
-        help="skip the live-cluster federation series (1/2/4 coordinators)",
-    )
-
     chaos = sub.add_parser(
         "chaos", help="run the seeded chaos nemesis + invariant battery"
     )
@@ -473,7 +447,6 @@ def main(argv=None) -> int:
         "experiment": _cmd_experiment,
         "workload": _cmd_workload,
         "methods": _cmd_methods,
-        "bench": _cmd_bench,
         "chaos": _cmd_chaos,
         "overload": _cmd_overload,
     }

@@ -26,12 +26,13 @@ expensive call real systems batch:
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import os
 import random
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import IO, Dict, Iterator, List, Optional, Tuple
 
 from repro.durability.records import CorruptRecord, WalError, encode_record
 
@@ -323,15 +324,26 @@ class SegmentWriter:
         self._file.close()
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "wb") -> Iterator[IO]:
+    """Replace ``path`` so that a reader sees the old file or the new
+    one, never a prefix: write a temp sibling, fsync it, rename it over
+    ``path``.  On an exception inside the block ``path`` is untouched."""
+    tmp = path + ".tmp"
+    with open(tmp, mode) as handle:
+        yield handle
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
 def write_segment(path: str, records) -> int:
     """Write a brand-new segment containing ``records``; returns bytes.
 
-    Used by compaction to materialize a checkpoint segment atomically
-    (write to a temp name, fsync, rename).
+    Used by compaction to materialize a checkpoint segment atomically.
     """
-    tmp = path + ".tmp"
     size = 0
-    with open(tmp, "wb") as handle:
+    with atomic_write(path) as handle:
         header = encode_segment_header()
         handle.write(header)
         size += len(header)
@@ -339,7 +351,4 @@ def write_segment(path: str, records) -> int:
             blob = encode_record(record)
             handle.write(blob)
             size += len(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
     return size

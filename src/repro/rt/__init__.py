@@ -25,7 +25,8 @@ deterministic simulation:
 - :mod:`repro.rt.cluster` — the 1-coordinator + 3-agent subprocess
   launcher/supervisor with a readiness handshake and auto-restart.
 - :mod:`repro.rt.storm` — the live-cluster debit-credit client with
-  ``--kill-agent N --at prepared`` and the BENCH_rt.json recorder.
+  ``--kill-agent N --at prepared`` and the merged-journal invariant
+  battery; its record is one ``--json-report`` line.
 
 The protocol objects themselves run unmodified; nothing in ``core/``
 knows whether its kernel is simulated or real.

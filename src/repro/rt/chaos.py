@@ -23,10 +23,12 @@ victim really died with SIGKILL and came back, and (for the in-doubt
 coordinator kill points) the respawned coordinator really replayed its
 decision log and re-drove the in-doubt global.
 
-Results land in ``BENCH_rt.json`` under ``"chaos"`` — goodput, p99,
-and a measured **recovery time per fault class**: process kill and
-disk fault from supervisor exited→restarted event timestamps, network
-partition from heal-to-first-commit.
+The drill's record — goodput, p99, and a measured **recovery time per
+fault class** (process kill and disk fault from supervisor
+exited→restarted event timestamps, network partition from
+heal-to-first-commit) — is printed as prose, or as one JSON line with
+``--json-report``.  The fired nemesis plan and fault log are kept in
+``nemesis-faults.json`` under the data root.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ import asyncio
 import contextlib
 import json
 import os
-import time
 from argparse import Namespace
 from typing import Dict, List, Optional
 
+from repro.durability.segments import atomic_write
 from repro.rt.nemesis import (
     NemesisControlClient,
     NemesisPlanConfig,
@@ -186,8 +188,6 @@ class ChaosRtDrill:
             txn_timeout=args.txn_timeout,
             timeout=args.timeout,
             settle=args.settle,
-            label=f"chaos_seed{self.seed}",
-            bench_out=args.bench_out,
             json_report=False,
             quit_cluster=False,
         )
@@ -278,7 +278,7 @@ class ChaosRtDrill:
                 )
         partition_recovery = self._partition_recovery(client.outcomes)
 
-        # -- evidence + bench -------------------------------------------------
+        # -- evidence + record ------------------------------------------------
         self._persist_fault_log(args.data_root)
         entry = {
             "seed": self.seed,
@@ -310,18 +310,14 @@ class ChaosRtDrill:
                 "atomic_commitment_violations"
             ),
             "ok": not self.failures,
-            "recorded_at": time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            ),
         }
-        self._record_bench(entry)
         self._print_report(entry)
         return 1 if self.failures else 0
 
     def _persist_fault_log(self, data_root: str) -> None:
         path = os.path.join(data_root, "nemesis-faults.json")
         with contextlib.suppress(OSError):
-            with open(path, "w") as fh:
+            with atomic_write(path, "w") as fh:
                 json.dump(
                     {
                         "seed": self.seed,
@@ -335,19 +331,6 @@ class ChaosRtDrill:
                     default=str,
                 )
                 fh.write("\n")
-
-    def _record_bench(self, entry: dict) -> None:
-        path = self.args.bench_out
-        bench = {"schema": 1, "runs": {}}
-        if os.path.exists(path):
-            with contextlib.suppress(Exception):
-                with open(path) as fh:
-                    bench = json.load(fh)
-        bench.setdefault("chaos", {})
-        bench["chaos"][f"seed{self.seed}"] = entry
-        with open(path, "w") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def _print_report(self, entry: dict) -> None:
         if self.args.json_report:

@@ -192,10 +192,6 @@ def add_rt_parsers(subparsers) -> None:
         help="post-run drain before verification (seconds)",
     )
     storm.add_argument(
-        "--label", default=None, help="BENCH_rt.json run label override"
-    )
-    storm.add_argument("--bench-out", default="BENCH_rt.json")
-    storm.add_argument(
         "--json-report",
         action="store_true",
         help="print the full report as JSON instead of prose",
@@ -273,8 +269,11 @@ def add_rt_parsers(subparsers) -> None:
         help="post-heal drain before verification (covers lock-timeout "
         "aborts of orphaned subtransactions)",
     )
-    chaos.add_argument("--bench-out", default="BENCH_rt.json")
-    chaos.add_argument("--json-report", action="store_true")
+    chaos.add_argument(
+        "--json-report",
+        action="store_true",
+        help="print the drill record as one JSON line instead of prose",
+    )
     chaos.set_defaults(run=_run_chaos)
 
 

@@ -46,6 +46,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
+from repro.durability.segments import atomic_write
 from repro.rt.codec import FRAME_CONTROL, encode_frame
 from repro.rt.nemesis import NemesisProxy, link_key
 from repro.rt.node import (
@@ -411,7 +412,8 @@ class ClusterSupervisor:
         if self.nemesis is not None:
             info["nemesis"] = self.nemesis.describe()
         path = os.path.join(self.data_root, "cluster.json")
-        with open(path, "w") as fh:
+        # Clients poll this file while the supervisor rewrites it.
+        with atomic_write(path, "w") as fh:
             json.dump(info, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path

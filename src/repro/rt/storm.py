@@ -34,8 +34,9 @@ Afterwards the client runs the invariant battery:
   end-to-end exactly-once test across the kill;
 - a killed agent must actually have restarted from a non-empty WAL.
 
-Results (throughput, p50/p99 commit latency, counters) merge into
-``BENCH_rt.json`` under the run label (``healthy`` / ``kill_recover``).
+The run's record (label, throughput, p50/p99 commit latency, counters,
+invariant results) is printed as prose, or as one JSON line with
+``--json-report``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import glob
 import json
 import os
 import sys
-import time
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -455,20 +455,20 @@ class StormClient:
             info, bank, generated, committed, killed_site
         )
         if kill_during != "none":
-            default_label = f"handoff_kill_{kill_during}"
+            label = f"handoff_kill_{kill_during}"
         elif handoff_task is not None:
-            default_label = "handoff"
+            label = "handoff"
         elif self.killed_coordinator:
-            default_label = "coord_kill"
+            label = "coord_kill"
         elif killed_site:
-            default_label = "kill_recover"
+            label = "kill_recover"
         elif self.shard_map is not None and len(self.ctl_coords) > 1:
-            default_label = "federated"
+            label = "federated"
         else:
-            default_label = "healthy"
+            label = "healthy"
         report.update(
             {
-                "label": args.label or default_label,
+                "label": label,
                 "txns": len(scheduled),
                 "committed": len(committed),
                 "aborted": len(aborted),
@@ -495,7 +495,6 @@ class StormClient:
             }
         )
         self.report = report
-        self._record_bench(report)
         self._print_report(report)
 
         if args.quit_cluster and not args.launch:
@@ -830,42 +829,6 @@ class StormClient:
         }
 
     # -- reporting ------------------------------------------------------------
-
-    def _record_bench(self, report: dict) -> None:
-        path = self.args.bench_out
-        bench = {"schema": 1, "runs": {}}
-        if os.path.exists(path):
-            with contextlib.suppress(Exception):
-                with open(path) as fh:
-                    bench = json.load(fh)
-        bench.setdefault("runs", {})
-        bench["runs"][report["label"]] = {
-            "txns": report["txns"],
-            "committed": report["committed"],
-            "aborted": report["aborted"],
-            "missing": report["missing"],
-            "duration_s": report["duration_s"],
-            "throughput_committed_per_s": report["throughput_committed_per_s"],
-            "latency_p50_s": report["latency_p50_s"],
-            "latency_p99_s": report["latency_p99_s"],
-            "kill": report["kill"],
-            "violations": report["invariants"]["atomic_commitment_violations"],
-            "ok": not report["failures"],
-            "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        fed = report.get("federation")
-        if fed:
-            bench["runs"][report["label"]]["federation"] = {
-                "coordinators": fed["coordinators"],
-                "n_shards": fed["n_shards"],
-                "forwarded_redirects": fed["forwarded_redirects"],
-                "wrong_shard_refused_final": fed["wrong_shard_refused_final"],
-                "fenced_begins": fed["fenced_begins"],
-                "handoff": fed["handoff"],
-            }
-        with open(path, "w") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def _print_report(self, report: dict) -> None:
         if self.args.json_report:

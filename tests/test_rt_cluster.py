@@ -13,9 +13,12 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
+
+from repro.rt.cluster import ClusterSupervisor
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -190,16 +193,54 @@ class TestClusterSupervision:
         assert "coord-c1" in proc.stderr
 
 
+    def test_cluster_json_is_never_seen_half_written(self, tmp_path):
+        """Clients poll cluster.json while the supervisor rewrites it
+        on every respawn and give-up: a reader must always parse a
+        whole file, never a truncated one."""
+        supervisor = ClusterSupervisor(str(tmp_path))
+        path = tmp_path / "cluster.json"
+        supervisor._write_cluster_json()
+        done = threading.Event()
+        reads, errors = [], []
+
+        def reader():
+            while not done.is_set():
+                try:
+                    reads.append(json.loads(path.read_text())["max_restarts"])
+                except ValueError as exc:
+                    errors.append(repr(exc))
+
+        thread = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave reader and writer finely
+        thread.start()
+        try:
+            for restarts in range(1000):
+                supervisor.max_restarts = restarts
+                supervisor._write_cluster_json()
+        finally:
+            done.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not errors, errors[:3]
+        assert len(reads) > 1
+        assert json.loads(path.read_text())["max_restarts"] == 999
+
+
+def _json_report(proc):
+    """The drill's ``--json-report`` record: its last stdout line."""
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def _run_storm(tmp_path, *extra):
-    bench = tmp_path / "BENCH_rt.json"
-    proc = subprocess.run(
+    return subprocess.run(
         _repro(
             "storm",
             "--launch",
             "--data-root",
             str(tmp_path / "cluster"),
-            "--bench-out",
-            str(bench),
+            "--json-report",
             *extra,
         ),
         env=_env(),
@@ -207,27 +248,27 @@ def _run_storm(tmp_path, *extra):
         text=True,
         timeout=180,
     )
-    return proc, bench
 
 
 class TestStormEndToEnd:
     def test_healthy_run_commits_everything(self, tmp_path):
-        proc, bench = _run_storm(tmp_path, "--txns", "8", "--settle", "0.5")
+        proc = _run_storm(tmp_path, "--txns", "8", "--settle", "0.5")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "all invariants hold" in proc.stdout
-        run = json.loads(bench.read_text())["runs"]["healthy"]
-        assert run["ok"] is True
+        run = _json_report(proc)
+        assert run["failures"] == []
+        assert run["label"] == "healthy"
         assert run["txns"] == 8
         assert run["committed"] + run["aborted"] == 8
         assert run["missing"] == 0
-        assert run["violations"] == 0
+        assert run["invariants"]["atomic_commitment_violations"] == 0
+        assert run["invariants"]["bank_checked"] is True
         assert run["throughput_committed_per_s"] > 0
         assert run["latency_p99_s"] >= run["latency_p50_s"] > 0
 
     def test_kill_at_prepared_recovers_atomically(self, tmp_path):
         """The acceptance scenario: SIGKILL mid-prepare, WAL recovery,
         zero invariant violations over the merged journals."""
-        proc, bench = _run_storm(
+        proc = _run_storm(
             tmp_path,
             "--txns",
             "14",
@@ -239,10 +280,10 @@ class TestStormEndToEnd:
             "1.0",
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "all invariants hold" in proc.stdout
-        run = json.loads(bench.read_text())["runs"]["kill_recover"]
-        assert run["ok"] is True
-        assert run["violations"] == 0
+        run = _json_report(proc)
+        assert run["failures"] == []
+        assert run["label"] == "kill_recover"
+        assert run["invariants"]["atomic_commitment_violations"] == 0
         assert run["missing"] == 0
         assert run["kill"]["site"]  # a real site was killed
         assert run["kill"]["cluster_restarts"] >= 1
@@ -256,7 +297,6 @@ class TestChaosRtEndToEnd:
     coordinator SIGKILL + an injected disk fault, healed, verified."""
 
     def test_seed_zero_survives_the_full_battery(self, tmp_path):
-        bench = tmp_path / "BENCH_rt.json"
         proc = subprocess.run(
             _repro(
                 "chaos-rt",
@@ -266,8 +306,7 @@ class TestChaosRtEndToEnd:
                 "36",
                 "--data-root",
                 str(tmp_path / "chaos"),
-                "--bench-out",
-                str(bench),
+                "--json-report",
             ),
             env=_env(),
             capture_output=True,
@@ -275,8 +314,9 @@ class TestChaosRtEndToEnd:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "all invariants hold" in proc.stdout
-        run = json.loads(bench.read_text())["chaos"]["seed0"]
+        record = _json_report(proc)
+        assert record["failures"] == []
+        run = record["entry"]
         assert run["ok"] is True
         assert run["violations"] == 0
         # seed 0 arms the nastiest kill mode: coordinator at sn_drawn

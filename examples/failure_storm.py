@@ -23,7 +23,6 @@ from repro import (
     collect_metrics,
     run_schedule,
 )
-from repro.sim.experiments import guarantee_holds
 from repro.sim.report import render_table
 
 METHODS = ("2cm", "2cm-nocommitcert", "naive", "ticket", "cgm")
@@ -73,7 +72,7 @@ def main() -> None:
             aborted += metrics.global_aborted
             resubmissions += metrics.resubmissions
             latencies.extend(metrics.latencies)
-            if not guarantee_holds(report):
+            if not report.ok:
                 corrupted_runs += 1
         mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
         rows.append(

@@ -18,10 +18,11 @@ Run:  python examples/partition_storm.py [seed]
 
 import sys
 
+from repro.sim.driver import DrillResult
 from repro.sim.failures import ChaosConfig, build_fault_plan, run_chaos
 
 
-def storm(seed: int) -> "ChaosResult":
+def storm(seed: int) -> DrillResult:
     config = ChaosConfig(
         seed=seed,
         duration=3000,

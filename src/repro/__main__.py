@@ -281,9 +281,21 @@ def _cmd_methods(_args) -> int:
     return 0
 
 
+def _report_drill(result, json_path) -> int:
+    """Print a drill's summary, optionally write it as JSON, exit code."""
+    import json
+
+    print(result.summary())
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as handle:
+            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {json_path}")
+    return 0 if result.ok else 1
+
+
 def _cmd_chaos(args) -> int:
     import contextlib
-    import json
     import tempfile
 
     from repro.sim.failures import ChaosConfig, run_chaos
@@ -300,28 +312,10 @@ def _cmd_chaos(args) -> int:
             durability_root=root,
         )
         result = run_chaos(config)
-    print(result.summary())
-    if args.json:
-        payload = {
-            "seed": result.seed,
-            "ok": result.ok,
-            "committed": result.committed,
-            "aborted": result.aborted,
-            "sim_time": result.sim_time,
-            "counters": result.counters,
-            "violations": [v.to_dict() for v in result.violations],
-            "schedule": result.schedule_description,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0 if result.ok else 1
+    return _report_drill(result, args.json)
 
 
 def _cmd_overload(args) -> int:
-    import json
-
     from repro.sim.overload import OverloadDrillConfig, run_overload
 
     config = OverloadDrillConfig(
@@ -331,27 +325,7 @@ def _cmd_overload(args) -> int:
         n_local=args.locals_,
         shed=not args.no_shed,
     )
-    result = run_overload(config)
-    print(result.summary())
-    if args.json:
-        payload = {
-            "seed": result.seed,
-            "ok": result.ok,
-            "load": result.load,
-            "shed": result.shed,
-            "submitted": result.submitted,
-            "committed": result.committed,
-            "aborted": result.aborted,
-            "sim_time": result.sim_time,
-            "goodput": result.goodput,
-            "counters": result.counters,
-            "violations": [v.to_dict() for v in result.violations],
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0 if result.ok else 1
+    return _report_drill(run_overload(config), args.json)
 
 
 def main(argv=None) -> int:

@@ -27,6 +27,7 @@ from repro.explore.nemesis import (
 )
 from repro.explore.trace import ChoicePoint
 from repro.history.invariants import Violation
+from repro.sim.driver import arm
 from repro.sim.failures import invariant_battery, wal_battery
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -254,43 +255,9 @@ def run_once(spec: ExploreSpec, chooser) -> RunResult:
                 seed=spec.seed,
             )
         ).generate()
-        for site, tables in workload.initial_data.items():
-            for table, rows in tables.items():
-                system.load(site, table, rows)
+        run = arm(system, workload)
 
-        outcomes: Dict = {}
         violations: List[Violation] = []
-
-        def submit_global(entry) -> None:
-            completion = system.submit(entry.spec)
-
-            def done(event) -> None:
-                if event.error is not None:
-                    violations.append(
-                        Violation(
-                            kind="coordinator-death",
-                            detail=(
-                                f"coordinator process for {entry.spec.txn} "
-                                f"died: {event.error!r}"
-                            ),
-                            txns=(str(entry.spec.txn),),
-                        )
-                    )
-                    return
-                outcomes[entry.spec.txn] = event.value
-
-            completion.subscribe(done)
-
-        for entry in workload.globals_:
-            system.kernel.schedule(entry.at, lambda e=entry: submit_global(e))
-        for entry in workload.locals_:
-            system.kernel.schedule(
-                entry.at,
-                lambda e=entry: system.submit_local(
-                    e.site, e.commands, number=e.number, think_time=e.think_time
-                ),
-            )
-
         try:
             system.run(
                 until=spec.horizon, max_events=spec.max_events, advance=False
@@ -303,22 +270,12 @@ def run_once(spec: ExploreSpec, chooser) -> RunResult:
                     context={"type": type(exc).__name__},
                 )
             )
-
         pending = system.kernel.pending
-        if pending:
-            violations.append(
-                Violation(
-                    kind="quiesce",
-                    detail=(
-                        f"run did not quiesce within the horizon "
-                        f"({pending} events pending)"
-                    ),
-                    context={"pending": pending},
-                )
-            )
+        violations.extend(run.settle())
 
         violations.extend(invariant_battery(system, include_ci=True))
         system.kernel.chooser = None
+        outcomes = run.global_outcomes
         fingerprint = run_fingerprint(system, outcomes)
         coverage = _coverage_of(system, outcomes, violations)
         system.close()
@@ -338,9 +295,9 @@ def run_once(spec: ExploreSpec, chooser) -> RunResult:
             violations=violations,
             fingerprint=fingerprint,
             coverage=coverage,
-            committed=sum(1 for o in outcomes.values() if o.committed),
-            aborted=sum(1 for o in outcomes.values() if not o.committed),
-            sim_time=system.kernel.now,
+            committed=len(run.committed_globals),
+            aborted=len(run.aborted_globals),
+            sim_time=run.finished_at,
             pending=pending,
         )
     finally:

@@ -215,12 +215,7 @@ def run_template(method: str, config: AdversaryConfig) -> bool:
     system.history.subscribe(on_decision)
     system.run(until=50_000.0, advance=False)
     report = audit(system)
-    return (
-        bool(report.view_serializability.serializable)
-        and report.rigor_violations == 0
-        and not report.distortions.has_global_distortion
-        and report.distortions.commit_graph_cycle is None
-    )
+    return report.ok and report.distortions.commit_graph_cycle is None
 
 
 def search(

@@ -22,31 +22,9 @@ from repro.ldbs.ltm import LTMConfig
 from repro.core.agent import AgentConfig
 from repro.sim.driver import SimulationResult, run_schedule
 from repro.sim.failures import RandomFailureInjector
-from repro.sim.metrics import CorrectnessAudit, audit, collect_metrics
+from repro.sim.metrics import audit, collect_metrics
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.workload.scenarios import run_h1, run_h2, run_h3, run_hx
-
-
-def guarantee_holds(report: CorrectnessAudit) -> bool:
-    """The paper's guarantee, evaluated defensively.
-
-    ``True`` when C(H) is view serializable.  When the exact decision
-    was out of reach (too many transactions with a cyclic SG) we fall
-    back to the paper's sufficient criterion: rigorous substrate, no
-    global view distortion, acyclic commit-order graph.
-    """
-    verdict = report.view_serializability.serializable
-    if verdict is not None:
-        return (
-            bool(verdict)
-            and report.rigor_violations == 0
-            and not report.distortions.has_global_distortion
-        )
-    return (
-        report.rigor_violations == 0
-        and not report.distortions.has_global_distortion
-        and report.distortions.commit_graph_cycle is None
-    )
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +88,7 @@ def exp_ci_invariant(
             schedule = _workload(seed=seed, n_global=8, n_local=2)
             run_schedule(system, schedule)
             total_violations += len(check_correctness_invariant(system.history))
-            if not guarantee_holds(audit(system)):
+            if not audit(system).ok:
                 guarantee_failures += 1
         rows.append([method, len(seeds), total_violations, guarantee_failures])
     return rows
@@ -162,7 +140,7 @@ def exp_restrictiveness(
             if system.scheduler is not None:
                 delays += system.scheduler.admission_waits
             latencies.extend(metrics.latencies)
-            if guarantee_holds(audit(system, max_txns=7)):
+            if audit(system, max_txns=7).ok:
                 ok_runs += 1
         mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
         rows.append(
@@ -208,7 +186,7 @@ def exp_failure_sweep(
                 aborted += metrics.global_aborted
                 resubmissions += metrics.resubmissions
                 injected += injector.injected
-                if not guarantee_holds(audit(system)):
+                if not audit(system).ok:
                     anomalies += 1
             total = committed + aborted
             rows.append(
@@ -260,7 +238,7 @@ def exp_drift_sweep(
             refusals += metrics.refusals_by_reason.get("prepare-out-of-order", 0)
             committed += metrics.global_committed
             aborted += metrics.global_aborted
-            if guarantee_holds(audit(system)):
+            if audit(system).ok:
                 ok_runs += 1
         rows.append(
             [offset, committed, aborted, refusals, ok_runs == len(seeds)]
@@ -309,7 +287,7 @@ def exp_alive_interval_sweep(
             refusals += metrics.refusals_by_reason.get("alive-intersection", 0)
             committed += metrics.global_committed
             latencies.extend(metrics.latencies)
-            if guarantee_holds(audit(system)):
+            if audit(system).ok:
                 ok_runs += 1
         mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
         rows.append(
@@ -370,7 +348,7 @@ def exp_dlu_ablation(
                 violations_allowed += guard.violations_allowed
             if report.distortions.has_global_distortion:
                 distorted_runs += 1
-            if not guarantee_holds(report):
+            if not report.ok:
                 guarantee_failures += 1
         rows.append(
             [
@@ -420,7 +398,7 @@ def exp_srs_ablation(
             run_schedule(system, schedule)
             report = audit(system)
             violations += report.rigor_violations
-            if not guarantee_holds(report):
+            if not report.ok:
                 guarantee_failures += 1
         rows.append(
             ["rigorous" if rigorous else "non-rigorous", violations, guarantee_failures]
@@ -591,7 +569,7 @@ def exp_interval_memory(
             refusals += metrics.refusals_by_reason.get("alive-intersection", 0)
             committed += metrics.global_committed
             aborted += metrics.global_aborted
-            if guarantee_holds(audit(system)):
+            if audit(system).ok:
                 ok_runs += 1
         rows.append([memory, committed, aborted, refusals, ok_runs == len(seeds)])
     return rows
@@ -643,7 +621,7 @@ def exp_agent_restarts(
             committed += metrics.global_committed
             aborted += metrics.global_aborted
             resubmissions += metrics.resubmissions
-            if guarantee_holds(audit(system)):
+            if audit(system).ok:
                 ok_runs += 1
         rows.append(
             [n_restarts, committed, aborted, resubmissions, ok_runs == len(seeds)]
@@ -768,7 +746,7 @@ def exp_interleaving_robustness(
             committed += metrics.global_committed
             aborted += metrics.global_aborted
             resubmissions += metrics.resubmissions
-            if guarantee_holds(audit(system)):
+            if audit(system).ok:
                 clean += 1
             else:
                 corrupted += 1

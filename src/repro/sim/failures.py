@@ -23,7 +23,7 @@ Two styles of injection:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -40,6 +40,7 @@ from repro.history.model import OpKind, Operation
 from repro.net.failure_detector import FailureDetectorConfig
 from repro.net.faults import FaultPlan, LossBurst, Partition
 from repro.net.reliable import ReliableConfig
+from repro.sim.driver import DrillResult, arm
 
 
 def abort_current_incarnation(
@@ -326,47 +327,6 @@ class ChaosConfig:
     durability_root: Optional[str] = None
 
 
-@dataclass
-class ChaosResult:
-    """What one nemesis run did and whether the invariants held."""
-
-    seed: int
-    schedule_description: str
-    committed: int = 0
-    aborted: int = 0
-    coordinator_deaths: int = 0
-    #: Fault/session counters for the "did the run actually exercise
-    #: loss, duplication, a partition and a crash" assertion.
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: Structured invariant violations (:class:`Violation` — stringify
-    #: for prose, ``to_dict`` for JSON); empty = the run is clean.
-    violations: List[Violation] = field(default_factory=list)
-    sim_time: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        lines = [
-            f"seed {self.seed}: committed={self.committed} "
-            f"aborted={self.aborted} sim_time={self.sim_time:.0f}",
-            "fault schedule:",
-            *(
-                "  " + line
-                for line in self.schedule_description.splitlines()
-            ),
-            "counters: "
-            + " ".join(f"{k}={v}" for k, v in sorted(self.counters.items())),
-        ]
-        if self.violations:
-            lines.append("VIOLATIONS:")
-            lines.extend(f"  - {v}" for v in self.violations)
-        else:
-            lines.append("invariants: all hold")
-        return "\n".join(lines)
-
-
 def build_fault_plan(config: ChaosConfig) -> FaultPlan:
     """Derive the seeded wire-fault schedule from a :class:`ChaosConfig`."""
     rng = random.Random(config.seed * 7919 + 17)
@@ -445,7 +405,8 @@ def invariant_battery(
     """The full post-run oracle, shared by chaos, overload and explore.
 
     Runs over a (hopefully quiesced) system: atomic commitment across
-    sites, the orphaned-PREPARED scan, the serializability/rigor audit,
+    sites, the orphaned-PREPARED scan, the paper's guarantee as
+    :meth:`~repro.sim.metrics.CorrectnessAudit.violations` states it,
     and — when the run used real WALs — a recoverability scan of every
     surviving log directory.  ``include_ci`` adds the paper's
     Correctness Invariant checker; the schedule explorer wants it, the
@@ -479,33 +440,7 @@ def invariant_battery(
                 )
             )
 
-    report = audit(system)
-    if report.view_serializability.serializable is False:
-        violations.append(
-            Violation(
-                kind="audit.viewser",
-                detail=(
-                    f"C(H) not view serializable: "
-                    f"{report.view_serializability.reason}"
-                ),
-            )
-        )
-    if report.rigor_violations:
-        violations.append(
-            Violation(
-                kind="audit.rigor",
-                detail=f"{report.rigor_violations} rigor violations in local histories",
-                context={"count": report.rigor_violations},
-            )
-        )
-    if report.distortions.has_global_distortion:
-        violations.append(
-            Violation(
-                kind="audit.distortion",
-                detail="global view distortion detected",
-            )
-        )
-
+    violations.extend(audit(system).violations())
     if durability_root is not None:
         violations.extend(wal_battery(durability_root))
     return violations
@@ -537,14 +472,13 @@ def wal_battery(durability_root: str) -> List[Violation]:
     return violations
 
 
-def run_chaos(config: ChaosConfig) -> ChaosResult:
+def run_chaos(config: ChaosConfig) -> DrillResult:
     """One full nemesis run: chaos phase, heal, drain, invariant battery."""
     from repro.sim.metrics import collect_metrics
     from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
     plan = build_fault_plan(config)
     system = build_chaos_system(config, plan)
-    result = ChaosResult(seed=config.seed, schedule_description=plan.describe())
 
     crasher = RandomAgentCrashInjector(
         system,
@@ -566,40 +500,7 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
             seed=config.seed,
         )
     ).generate()
-    for site, tables in workload.initial_data.items():
-        for table, rows in tables.items():
-            system.load(site, table, rows)
-
-    outcomes = {}
-
-    def submit_global(entry) -> None:
-        completion = system.submit(entry.spec)
-
-        def done(event) -> None:
-            if event.error is not None:
-                # A coordinator process died (e.g. the resend budget ran
-                # out against a never-healing site).  Under chaos that is
-                # a *recorded* outcome, not a harness crash — the
-                # invariant battery decides whether it broke safety.
-                result.coordinator_deaths += 1
-                return
-            outcomes[entry.spec.txn] = event.value
-
-        completion.subscribe(done)
-
-    for entry in workload.globals_:
-        system.kernel.schedule(entry.at, lambda e=entry: submit_global(e))
-
-    def submit_local(entry) -> None:
-        system.submit_local(
-            entry.site,
-            entry.commands,
-            number=entry.number,
-            think_time=entry.think_time,
-        )
-
-    for entry in workload.locals_:
-        system.kernel.schedule(entry.at, lambda e=entry: submit_local(e))
+    run = arm(system, workload)
 
     # -- phase 1: nemesis ----------------------------------------------
     system.run(until=config.duration)
@@ -613,23 +514,22 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
 
     # -- phase 2: drain to quiescence over the healed wire --------------
     system.run(until=config.duration + config.drain, advance=False)
-    if system.kernel.pending:
-        result.violations.append(
-            Violation(
-                kind="quiesce",
-                detail=(
-                    f"run did not quiesce within drain budget "
-                    f"({system.kernel.pending} events pending)"
-                ),
-                context={"pending": system.kernel.pending},
-            )
-        )
 
     # -- invariant battery ---------------------------------------------
-    result.committed = sum(1 for o in outcomes.values() if o.committed)
-    result.aborted = sum(1 for o in outcomes.values() if not o.committed)
-    result.sim_time = system.kernel.now
-
+    # A coordinator process dying (e.g. its resend budget ran out
+    # against a never-healing site) is a *recorded* outcome under chaos,
+    # not a harness crash: the battery decides whether it broke safety.
+    settled = run.settle()
+    result = DrillResult(
+        seed=config.seed,
+        description="fault schedule:\n"
+        + "\n".join("  " + line for line in plan.describe().splitlines()),
+        submitted=workload.n_global,
+        committed=len(run.committed_globals),
+        aborted=len(run.aborted_globals),
+        sim_time=run.finished_at,
+        violations=[v for v in settled if v.kind != "coordinator-death"],
+    )
     result.violations.extend(invariant_battery(system))
     system.close()
     if config.durability_root is not None:
@@ -648,7 +548,7 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         "agent_restarts": metrics.agent_restarts,
         "quarantine_refusals": metrics.quarantine_refusals,
         "dead_letters": metrics.dead_letters,
-        "coordinator_deaths": result.coordinator_deaths,
+        "coordinator_deaths": len(run.deaths),
         "crash_injections": len(crasher.crash_log),
     }
     return result

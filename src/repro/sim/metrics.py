@@ -24,6 +24,7 @@ from repro.federation.leases import LeasedSN
 from repro.history.committed import CommittedProjection, committed_projection
 from repro.history.distortion import DistortionReport, find_distortions
 from repro.history.graphs import find_cycle, serialization_graph
+from repro.history.invariants import Violation
 from repro.history.rigor import check_rigorous
 from repro.history.viewser import ViewSerializabilityResult, check_view_serializable
 from repro.sim.stats import merge_counts
@@ -284,26 +285,67 @@ class CorrectnessAudit:
     rigor_violations: int
     sg_cycle: Optional[list]
 
+    def violations(self) -> List[Violation]:
+        """The paper's guarantee, as the clauses ``C(H)`` breaks.
+
+        ``C(H)`` must be view serializable, over a rigorous substrate,
+        with no global view distortion.  The distortion clause matters
+        for decomposition changes: the replay-based checker compares
+        recorded reads-from against serial arrangements of the
+        *recorded* blocks, but a block whose incarnations decomposed
+        differently can be reads-from-consistent with a serial order
+        that no DDF-obeying execution could produce.  The paper treats
+        any decomposition change as non-serial, so the audit does too.
+
+        When view serializability is undecided (too many transactions
+        in a cyclic SG for the exact search), Sec. 5's sufficient
+        condition stands in: an acyclic commit-order graph.  A cyclic
+        one is reported as ``audit.cg-cycle``.
+        """
+        found: List[Violation] = []
+        view = self.view_serializability
+        if view.serializable is False:
+            found.append(
+                Violation(
+                    kind="audit.viewser",
+                    detail=f"C(H) not view serializable: {view.reason}",
+                )
+            )
+        if self.rigor_violations:
+            found.append(
+                Violation(
+                    kind="audit.rigor",
+                    detail=f"{self.rigor_violations} rigor violations in local histories",
+                    context={"count": self.rigor_violations},
+                )
+            )
+        if self.distortions.has_global_distortion:
+            found.append(
+                Violation(
+                    kind="audit.distortion",
+                    detail="global view distortion detected",
+                )
+            )
+        cycle = self.distortions.commit_graph_cycle
+        if view.serializable is None and cycle is not None:
+            found.append(
+                Violation(
+                    kind="audit.cg-cycle",
+                    detail=(
+                        f"view serializability undecided ({view.reason}) "
+                        "and CG(C(H)) is cyclic: "
+                        + " -> ".join(txn.label for txn in cycle)
+                    ),
+                    txns=tuple(str(txn) for txn in cycle[:-1]),
+                )
+            )
+        return found
+
     @property
     def ok(self) -> bool:
-        """The paper's guarantee, in full.
-
-        View serializability of ``C(H)`` *and* no global view
-        distortion.  The extra clause matters for decomposition
-        changes: the replay-based checker compares recorded reads-from
-        against serial arrangements of the *recorded* blocks, but a
-        block whose incarnations decomposed differently can be
-        reads-from-consistent with a serial order that no DDF-obeying
-        execution could produce (the serial order would have given the
-        original incarnation the same, changed decomposition).  The
-        paper treats any decomposition change as non-serial, so the
-        audit does too.
-        """
-        return (
-            bool(self.view_serializability.serializable)
-            and self.rigor_violations == 0
-            and not self.distortions.has_global_distortion
-        )
+        """View serializable, or undecided with an acyclic CG (and in
+        both cases rigorous and free of global view distortion)."""
+        return not self.violations()
 
     def summary(self) -> str:
         vs = self.view_serializability

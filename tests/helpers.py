@@ -1,9 +1,18 @@
-"""Shared test helpers: hand-building histories in paper notation."""
+"""Shared test helpers: draining a system, hand-building histories in
+paper notation."""
 
 from typing import Optional
 
 from repro.common.ids import DataItemId, SubtxnId, TxnId, global_txn, local_txn
 from repro.history.model import History
+
+
+def drain(system, limit=100_000.0):
+    """Run ``system`` in 50k-event slices until it quiesces; fail if
+    events are still pending once simulated time passes ``limit``."""
+    while system.kernel.pending and system.kernel.now <= limit:
+        system.run(max_events=50_000)
+    assert not system.kernel.pending, "system did not quiesce"
 
 
 class HistoryBuilder:

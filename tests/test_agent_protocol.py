@@ -19,6 +19,8 @@ from repro.sim.failures import (
 )
 from repro.sim.metrics import audit
 
+from tests.helpers import drain
+
 
 def build(method="2cm", **kwargs):
     kwargs.setdefault("sites", ("a", "b"))
@@ -38,12 +40,6 @@ def two_site_spec(number=1, think_time=0.0):
         ),
         think_time=think_time,
     )
-
-
-def drain(system, limit=100_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=50_000)
-    assert not system.kernel.pending, "system did not quiesce"
 
 
 class TestHappyPath:

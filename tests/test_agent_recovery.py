@@ -15,6 +15,8 @@ from repro.ldbs.commands import AddValue, UpdateItem
 from repro.net.network import LatencyModel
 from repro.sim.metrics import audit
 
+from tests.helpers import drain
+
 
 def build(**kwargs):
     kwargs.setdefault("sites", ("a", "b"))
@@ -35,12 +37,6 @@ def spec(number=1, think_time=0.0):
         ),
         think_time=think_time,
     )
-
-
-def drain(system, limit=100_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=50_000)
-    assert not system.kernel.pending
 
 
 def restart_when(system, site, predicate, delay=1.0):

@@ -11,6 +11,8 @@ from repro.kernel import EventKernel
 from repro.ldbs.commands import AddValue, ReadItem, UpdateItem
 from repro.sim.metrics import audit
 
+from tests.helpers import drain
+
 
 class TestCommitGraphAdmission:
     def test_disjoint_site_sets_admitted(self):
@@ -133,11 +135,6 @@ class TestEndToEnd:
         system.load("b", "t", {"S": 3, "U": 4})
         return system
 
-    def drain(self, system, limit=100_000.0):
-        while system.kernel.pending and system.kernel.now <= limit:
-            system.run(max_events=50_000)
-        assert not system.kernel.pending
-
     def test_single_transaction_commits(self):
         system = self.build()
         spec = GlobalTransactionSpec(
@@ -148,7 +145,7 @@ class TestEndToEnd:
             ),
         )
         done = system.submit(spec)
-        self.drain(system)
+        drain(system)
         assert done.value.committed
         assert audit(system).ok
 
@@ -175,7 +172,7 @@ class TestEndToEnd:
         )
         done1 = system.submit(t1, coordinator=0)
         done2 = system.submit(t2, coordinator=1)
-        self.drain(system)
+        drain(system)
         assert done1.value.committed and done2.value.committed
         assert (
             system.scheduler.admission_waits >= 1

@@ -17,11 +17,7 @@ from repro.core.dtm import MultidatabaseSystem, SystemConfig
 from repro.kernel import EventKernel
 from repro.ldbs.commands import AddValue, ReadItem, UpdateItem
 
-
-def drain(system, limit=100_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=50_000)
-    assert not system.kernel.pending
+from tests.helpers import drain
 
 
 class TestSchedulerRules:

@@ -10,6 +10,8 @@ from repro.ldbs.commands import AddValue, UpdateItem
 from repro.net.network import LatencyModel
 from repro.sim.metrics import audit
 
+from tests.helpers import drain
+
 
 def build(method="2cm", overrides=None, **kwargs):
     kwargs.setdefault("sites", ("a", "b"))
@@ -61,12 +63,6 @@ def submit_race(system, t1, t2, t2_at=110.0):
 
     system.kernel.schedule(t2_at, later)
     return done1, holder
-
-
-def drain(system, limit=100_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=50_000)
-    assert not system.kernel.pending
 
 
 def local_commit_order(system, site):

@@ -12,6 +12,8 @@ from repro.sim.failures import PeriodicCrashInjector, inject_site_crash
 from repro.sim.metrics import audit
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
+from tests.helpers import drain
+
 
 def build(method="2cm", **kwargs):
     kwargs.setdefault("sites", ("a", "b"))
@@ -20,12 +22,6 @@ def build(method="2cm", **kwargs):
     system.load("a", "t", {"X": 100, "Y": 50})
     system.load("b", "t", {"Z": 10})
     return system
-
-
-def drain(system, limit=200_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=50_000)
-    assert not system.kernel.pending
 
 
 class TestLtmCrash:

@@ -38,6 +38,8 @@ from repro.sim.failures import (
 from repro.sim.metrics import audit
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
+from tests.helpers import drain
+
 TIMEOUTS = CoordinatorTimeouts(
     result_timeout=200.0, vote_timeout=150.0, ack_timeout=25.0
 )
@@ -77,12 +79,6 @@ def spec(i=1):
             ("b", UpdateItem("t", "Z", AddValue(5))),
         ),
     )
-
-
-def drain(system, limit=5_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=100_000)
-    assert not system.kernel.pending, "simulation did not quiesce"
 
 
 def snapshot(system, site):

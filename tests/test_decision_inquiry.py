@@ -26,6 +26,8 @@ from repro.ldbs.commands import AddValue, UpdateItem
 from repro.net.messages import Message, MsgType
 from repro.net.network import LatencyModel
 
+from tests.helpers import drain
+
 INQUIRY = AgentConfig(alive_check_interval=50.0, decision_inquiry_after=120.0)
 
 
@@ -40,12 +42,6 @@ def build(tmp_path=None, agent=INQUIRY, **kwargs):
     system.load("a", "t", {"X": 100})
     system.load("b", "t", {"Z": 10})
     return system
-
-
-def drain(system, limit=100_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=50_000)
-    assert not system.kernel.pending, "system did not quiesce"
 
 
 def spec(number=1):

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.core.dtm import MultidatabaseSystem, SystemConfig
-from repro.sim.driver import run_schedule
+from repro.sim.driver import arm, run_schedule
 from repro.sim.failures import RandomFailureInjector
 from repro.sim.metrics import audit, collect_metrics
 from repro.sim.report import render_table
@@ -83,6 +84,44 @@ class TestDriver:
         assert (
             first.system.history.render() == second.system.history.render()
         )
+
+
+def doomed_run():
+    """A system whose coordinator process for the first global raises."""
+    system = build()
+    schedule = small_workload(n_global=4, n_local=2)
+    victim = schedule.globals_[0].spec.txn
+
+    def crashed():
+        raise RuntimeError("coordinator bug")
+        yield  # pragma: no cover - makes this a generator
+
+    for coordinator in system.coordinators:
+        run = coordinator._run
+        coordinator._run = lambda spec, program=None, _run=run: (
+            crashed() if spec.txn == victim else _run(spec, program)
+        )
+    return system, schedule, victim
+
+
+class TestCoordinatorDeath:
+    def test_run_schedule_raises_naming_the_transaction(self):
+        system, schedule, victim = doomed_run()
+        with pytest.raises(
+            SimulationError, match=f"coordinator process for {victim} died"
+        ):
+            run_schedule(system, schedule)
+
+    def test_settle_reports_it_and_keeps_the_rest(self):
+        system, schedule, victim = doomed_run()
+        run = arm(system, schedule)
+        system.run()
+        violations = run.settle()
+        assert [v.kind for v in violations] == ["coordinator-death"]
+        assert violations[0].txns == (str(victim),)
+        assert victim in run.deaths and victim not in run.global_outcomes
+        assert len(run.global_outcomes) == 3
+        assert len(run.local_outcomes) == 2
 
 
 class TestMetrics:

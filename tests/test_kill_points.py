@@ -21,6 +21,8 @@ from repro.core.dtm import MultidatabaseSystem, SystemConfig
 from repro.ldbs.commands import AddValue, UpdateItem
 from repro.net.network import LatencyModel
 
+from tests.helpers import drain
+
 
 def build(sites=("a", "b")):
     system = MultidatabaseSystem(
@@ -30,12 +32,6 @@ def build(sites=("a", "b")):
     if "b" in sites:
         system.load("b", "t", {"Z": 10})
     return system
-
-
-def drain(system, limit=100_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=50_000)
-    assert not system.kernel.pending
 
 
 def test_probe_order_spans_all_three_points_on_a_two_site_commit():

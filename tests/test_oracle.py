@@ -12,9 +12,11 @@ shrunk-repro files carry.
 
 import types
 
-from tests.helpers import HistoryBuilder
+from tests.helpers import HistoryBuilder, drain
 
+from repro.common.ids import global_txn
 from repro.core.agent import AgentPhase
+from repro.core.coordinator import GlobalTransactionSpec
 from repro.core.dtm import MultidatabaseSystem, SystemConfig
 from repro.history.invariants import (
     Violation,
@@ -22,7 +24,10 @@ from repro.history.invariants import (
     check_correctness_invariant,
     check_history,
 )
+from repro.ldbs.commands import AddValue, UpdateItem
 from repro.sim.failures import invariant_battery
+from repro.sim.metrics import audit
+from repro.workload.scenarios import run_h3
 
 
 class TestViolationStructure:
@@ -144,3 +149,41 @@ class TestInvariantBattery:
             assert invariant_battery(system, include_ci=True) == []
         finally:
             system.close()
+
+
+def h3_plus_eight_bystanders(method):
+    """The paper's H3 plus 8 single-site globals on fresh tables: 12
+    transactions in C(H), too many for the exact view-serializability
+    search once H3's anomaly makes SG cyclic."""
+    system = run_h3(method).system
+    for i in range(8):
+        site, table = "ab"[i % 2], f"fresh{i}"
+        system.load(site, table, {"K": 0})
+        system.submit(
+            GlobalTransactionSpec(
+                txn=global_txn(100 + i),
+                steps=((site, UpdateItem(table, "K", AddValue(1))),),
+            )
+        )
+    drain(system)
+    return system
+
+
+class TestUndecidedVerdict:
+    """Where view serializability is undecided, Sec. 5's sufficient
+    condition (an acyclic CG) must stand in — not a free pass."""
+
+    def test_cyclic_cg_is_reported_when_viewser_is_undecided(self):
+        system = h3_plus_eight_bystanders("2cm-nocommitcert")
+        report = audit(system)
+        assert len(report.projection.txns) == 12
+        assert report.view_serializability.serializable is None
+        assert not report.ok
+        violations = invariant_battery(system, include_ci=True)
+        assert [v.kind for v in violations] == ["audit.cg-cycle"]
+        assert set(violations[0].txns) == {"T5", "L7", "T6", "L8"}
+
+    def test_same_construction_under_2cm_is_clean(self):
+        system = h3_plus_eight_bystanders("2cm")
+        assert audit(system).view_serializability.serializable is True
+        assert invariant_battery(system, include_ci=True) == []

@@ -16,11 +16,7 @@ from repro.sim.failures import inject_abort_after_global_commit
 from repro.sim.metrics import audit
 from repro.workload.scenarios import run_h2_indirect
 
-
-def drain(system, limit=100_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=50_000)
-    assert not system.kernel.pending
+from tests.helpers import drain
 
 
 class TestPhantomBinding:

@@ -12,6 +12,8 @@ from repro.net.network import LatencyModel
 from repro.sim.failures import inject_abort_after_global_commit
 from repro.sim.metrics import audit
 
+from tests.helpers import drain
+
 
 def build(**kwargs):
     kwargs.setdefault("sites", ("a", "b"))
@@ -19,12 +21,6 @@ def build(**kwargs):
     system.load("a", "accounts", {"checking": 300})
     system.load("b", "accounts", {"savings": 50})
     return system
-
-
-def drain(system, limit=100_000.0):
-    while system.kernel.pending and system.kernel.now <= limit:
-        system.run(max_events=50_000)
-    assert not system.kernel.pending
 
 
 class TestInteractivePrograms:

@@ -283,7 +283,6 @@ class TestScanPhantomGuarantee:
         from repro.sim.driver import run_schedule
         from repro.sim.failures import RandomFailureInjector
         from repro.sim.metrics import audit
-        from repro.sim.experiments import guarantee_holds
         from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
         system = MultidatabaseSystem(
@@ -308,7 +307,7 @@ class TestScanPhantomGuarantee:
         report = audit(system)
         assert report.rigor_violations == 0
         assert not report.distortions.has_global_distortion
-        assert guarantee_holds(report)
+        assert report.ok
 
 
 class TestAdversarialSearch:

@@ -1,6 +1,8 @@
 """Tests for the timeline renderer and the CLI (repro.sim.timeline,
 repro.__main__)."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -103,6 +105,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "committed:" in out
         assert "view serializable: True" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--duration", "1500", "--globals", "8", "--locals", "2"],
+            ["overload", "--globals", "12", "--locals", "2"],
+        ],
+        ids=["chaos", "overload"],
+    )
+    def test_drills_write_one_json_shape(self, argv, tmp_path, capsys):
+        path = tmp_path / "verdict.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        assert "invariants: all hold" in capsys.readouterr().out
+        verdict = json.loads(path.read_text())
+        assert verdict["ok"] is True and verdict["violations"] == []
+        assert sorted(verdict) == [
+            "aborted", "committed", "counters", "description", "goodput",
+            "ok", "seed", "sim_time", "submitted", "violations",
+        ]
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -54,7 +54,7 @@ from repro.common.ids import (
     local_txn,
 )
 from repro.core.agent import AgentConfig, TwoPCAgent
-from repro.core.certifier import Certifier, CertifierConfig, CommitOrderPolicy
+from repro.core.certifier import Certifier, CertifierConfig
 from repro.core.coordinator import (
     AbortRequested,
     Coordinator,
@@ -108,7 +108,6 @@ __all__ = [
     "CertificationRefused",
     "Certifier",
     "CertifierConfig",
-    "CommitOrderPolicy",
     "ConfigError",
     "Coordinator",
     "DLUPolicy",

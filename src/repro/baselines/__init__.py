@@ -4,22 +4,20 @@
   Silberschatz & Thompson (SIGMOD 1990), the paper's main comparator: a
   *centralized* scheduler with global coarse-granularity strict 2PL and
   a bipartite commit graph whose loops veto commits.
-* :mod:`repro.baselines.naive` — resubmission without certification;
-  exhibits exactly the anomalies (H1, H2, H3) the certifier exists to
-  prevent.
-* :mod:`repro.baselines.ticket` — a predefined-total-order scheme in
-  the spirit of Elmagarmid & Du, which the paper rejects as overly
-  restrictive ("it would require all global transactions to be
-  serialized in the same order even if they could not have caused any
-  problems").
 
-The naive and ticket baselines reuse the 2CM machinery with different
-feature sets (see ``repro.core.dtm.certifier_config_for``); this package
-provides their documented constructors so experiments read naturally.
+The other two baselines reuse the 2CM machinery and are selected by
+``SystemConfig.method``:
+
+* ``naive`` (S18) — resubmission without certification, the ``naive``
+  entry of :data:`repro.ablations.ABLATIONS`; exhibits exactly the
+  anomalies (H1, H2, H3) the certifier exists to prevent.
+* ``ticket`` (S19) — a predefined-total-order scheme in the spirit of
+  Elmagarmid & Du, which the paper rejects as overly restrictive ("it
+  would require all global transactions to be serialized in the same
+  order even if they could not have caused any problems"); see
+  :mod:`repro.core.dtm`.
 """
 
 from repro.baselines.cgm import CGMScheduler
-from repro.baselines.naive import build_naive_system
-from repro.baselines.ticket import build_ticket_system
 
-__all__ = ["CGMScheduler", "build_naive_system", "build_ticket_system"]
+__all__ = ["CGMScheduler"]

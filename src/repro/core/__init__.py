@@ -17,7 +17,7 @@
 """
 
 from repro.core.agent import AgentConfig, TwoPCAgent
-from repro.core.certifier import Certifier, CertifierConfig, CommitOrderPolicy
+from repro.core.certifier import Certifier, CertifierConfig
 from repro.core.coordinator import (
     Coordinator,
     CoordinatorTimeouts,
@@ -40,7 +40,6 @@ __all__ = [
     "CentralCounterSN",
     "Certifier",
     "CertifierConfig",
-    "CommitOrderPolicy",
     "Coordinator",
     "CoordinatorTimeouts",
     "GlobalOutcome",

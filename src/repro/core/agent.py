@@ -521,13 +521,10 @@ class TwoPCAgent:
         # would not hold.  (A batch does this once for the whole group.)
         if batch is None:
             self._refresh_intervals()
-        access_set = frozenset(self.ltm.access_set_of(state.local.subtxn))
         if batch is not None:
-            decision = batch.certify(msg.txn, msg.sn, candidate, access_set=access_set)
+            decision = batch.certify(msg.txn, msg.sn, candidate)
         else:
-            decision = self.certifier.certify_prepare(
-                msg.txn, msg.sn, candidate, access_set=access_set
-            )
+            decision = self.certifier.certify_prepare(msg.txn, msg.sn, candidate)
         if not decision.ok:
             self._abort_and_refuse(state, msg, decision.reason, decision.detail)
             return
@@ -539,9 +536,9 @@ class TwoPCAgent:
             self._abort_and_refuse(state, msg, RefusalReason.NOT_ALIVE, "")
             return
         if batch is not None:
-            batch.admit(msg.txn, msg.sn, candidate, access_set=access_set)
+            batch.admit(msg.txn, msg.sn, candidate)
         else:
-            self.certifier.insert(msg.txn, msg.sn, candidate, access_set=access_set)
+            self.certifier.insert(msg.txn, msg.sn, candidate)
         self.log.write_prepare(msg.txn, msg.sn, self.kernel.now)
         if self.dlu_guard is not None:
             self.dlu_guard.bind(
@@ -1033,7 +1030,7 @@ class TwoPCAgent:
         for state in old_states.values():
             self.ltm.unilaterally_abort(state.local.subtxn)
         # Volatile certifier state is gone with the process.
-        self.certifier = Certifier(self.site, self.certifier.config)
+        self.certifier = self.certifier.fresh()
         self.log.close()
 
     def recover(self, log: Optional[AgentLog] = None) -> int:
@@ -1071,7 +1068,7 @@ class TwoPCAgent:
         self._crashed = False
         self.restarts += 1
         self.network.note_endpoint_up(self.address)
-        self.certifier = Certifier(self.site, self.certifier.config)
+        self.certifier = self.certifier.fresh()
         self.certifier.restore_max_committed_sn(self.log.max_committed_sn)
 
         recovered = 0

@@ -6,17 +6,14 @@ The Certifier is the per-site decision core of the method.  It keeps:
   the prepared state at this site, holding its latest alive interval
   and its serial number;
 * the **largest serial number of a locally committed subtransaction** —
-  the state behind the prepare-certification *extension* (Sec. 5.3);
-* the order in which subtransactions entered the prepared state — used
-  only by the ``PREPARE_ORDER`` commit-order policy, the alternative the
-  paper examines and rejects (it fails on indirect conflicts, history
-  H3), kept for the E4 experiment.
+  the state behind the prepare-certification *extension* (Sec. 5.3).
 
 Every check is a pure decision; the surrounding 2PC Agent performs the
 aborts, messages and timer manipulation the Appendix pseudo-code
-interleaves with them.  All checks are individually switchable so the
-baselines (naive resubmission, no-extension, no-commit-certification)
-are the same code with features off.
+interleaves with them.  This module implements the paper's rule and
+nothing else: the ablations that switch a piece of it off (no
+extension, no commit certification, prepare-order commits, ...) are
+subclasses overriding one check, registered in :mod:`repro.ablations`.
 
 Two certification **engines** implement the same decisions:
 
@@ -32,41 +29,25 @@ Two certification **engines** implement the same decisions:
   insertion order.
 
 Why an endpoint index suffices for the intersection rule: a candidate
-``[s, e]`` fails to intersect *every* interval of some entry iff
+``[s, e]`` misses an entry's interval iff
 
-* the entry's **maximum end** is ``< s`` (the entry died before the
-  candidate was born), or
-* the entry's **minimum start** is ``> e`` (the entry was born after
-  the candidate died), or
-* the candidate falls entirely inside a **gap** between two of the
-  entry's archived intervals (requires ``max_intervals > 1``).
+* the entry's **end** is ``< s`` (the entry died before the candidate
+  was born), or
+* the entry's **start** is ``> e`` (the entry was born after the
+  candidate died).
 
-The first two are answered by one peek at a min-end heap and a
-max-start heap; the third by a linear pass over only the (few) entries
-that actually hold archived intervals.
+Both are answered by one peek at a min-end heap and a max-start heap.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, RefusalReason, SimulationError
 from repro.common.ids import SerialNumber, TxnId
 from repro.core.intervals import AliveInterval
-
-
-class CommitOrderPolicy(enum.Enum):
-    """How commit certification orders local commits."""
-
-    #: The paper's choice: globally unique serial numbers.
-    SERIAL_NUMBER = "sn"
-    #: The rejected alternative: order of entering the prepared state.
-    PREPARE_ORDER = "prepare-order"
-
 
 #: Valid values of :attr:`CertifierConfig.engine`.
 CERTIFIER_ENGINES = ("naive", "indexed")
@@ -74,30 +55,8 @@ CERTIFIER_ENGINES = ("naive", "indexed")
 
 @dataclass(frozen=True)
 class CertifierConfig:
-    """Feature switches of one site's certifier."""
+    """Engine and housekeeping knobs of one site's certifier."""
 
-    #: Basic prepare certification — the alive-interval intersection rule.
-    basic_prepare: bool = True
-    #: Extended prepare certification — refuse an out-of-order PREPARE.
-    prepare_extension: bool = True
-    #: Commit certification — issue local commits in global order.
-    commit_certification: bool = True
-    commit_order: CommitOrderPolicy = CommitOrderPolicy.SERIAL_NUMBER
-    #: How many alive intervals to remember per prepared subtransaction.
-    #: The paper: "The easiest way to implement the Certifier is to
-    #: simply store the last alive time interval ...  As an
-    #: optimization, several of them might be stored."  With more than
-    #: one, a candidate only needs to intersect *some* remembered alive
-    #: interval of each entry — strictly fewer unnecessary refusals.
-    max_intervals: int = 1
-    #: UNSOUND variant kept for the E17 ablation: only refuse a
-    #: disjoint-interval candidate when its access set *directly*
-    #: intersects the prepared entry's (the predicate/command-knowledge
-    #: approach of the authors' earlier 2PC-Agent paper).  It cannot see
-    #: indirect conflicts through local transactions — which is exactly
-    #: why the paper's rule is conflict-blind (Conflict Detection Basis
-    #: covers "neither directly nor indirectly conflicting").
-    conflict_aware_basic: bool = False
     #: Certification engine: ``naive`` (the Appendix linear scan, the
     #: differential oracle) or ``indexed`` (lazy endpoint/SN heaps).
     engine: str = "naive"
@@ -114,64 +73,20 @@ class CertifierConfig:
     #: system builder turns it on.
     assert_unique_sns: bool = False
 
-    @staticmethod
-    def naive() -> "CertifierConfig":
-        """Everything off: plain resubmission (baseline S18)."""
-        return CertifierConfig(
-            basic_prepare=False,
-            prepare_extension=False,
-            commit_certification=False,
-        )
-
 
 @dataclass
 class PreparedEntry:
-    """One row of the alive interval table.
-
-    ``interval`` is the current (most recent) alive interval;
-    ``archive`` holds the frozen intervals of earlier incarnations when
-    the certifier is configured to remember several (``max_intervals``).
-    """
+    """One row of the alive interval table: the subtransaction's latest
+    alive interval and its serial number."""
 
     txn: TxnId
     sn: Optional[SerialNumber]
     interval: AliveInterval
-    prepare_seq: int
-    archive: List[AliveInterval] = field(default_factory=list)
-    #: Items accessed by the subtransaction (only consulted by the
-    #: unsound conflict-aware variant).
-    access_set: frozenset = frozenset()
-
-    def all_intervals(self) -> List[AliveInterval]:
-        return self.archive + [self.interval]
 
     def intersects(self, candidate: AliveInterval) -> bool:
         """Conflict-freeness holds if the candidate shares an instant
-        with *any* known alive interval of this entry."""
-        if candidate.intersects(self.interval):
-            return True
-        for known in self.archive:
-            if candidate.intersects(known):
-                return True
-        return False
-
-
-def _max_end(entry: PreparedEntry) -> float:
-    """Latest end over all of the entry's remembered intervals."""
-    end = entry.interval.end
-    for known in entry.archive:
-        if known.end > end:
-            end = known.end
-    return end
-
-
-def _min_start(entry: PreparedEntry) -> float:
-    """Earliest start over all of the entry's remembered intervals."""
-    start = entry.interval.start
-    for known in entry.archive:
-        if known.start < start:
-            start = known.start
-    return start
+        with the entry's alive interval."""
+        return candidate.intersects(self.interval)
 
 
 @dataclass(frozen=True)
@@ -186,15 +101,18 @@ class CertDecision:
         return self.ok
 
 
+#: The one approving decision (decisions are immutable).
+APPROVE = CertDecision(ok=True)
+
+
 class _CertIndex:
     """Lazy endpoint/SN indexes over the alive interval table.
 
-    Four heaps keyed on values derived from the *current* table entry:
+    Three heaps keyed on values derived from the *current* table entry:
 
-    * ``_ends``   — min-heap of ``(max interval end, txn)``;
-    * ``_starts`` — max-heap of ``(-min interval start, txn)``;
-    * ``_sns``    — min-heap of ``(sn, txn)`` for SN-bearing entries;
-    * ``_seqs``   — min-heap of ``(prepare_seq, txn)``.
+    * ``_ends``   — min-heap of ``(interval end, txn)``;
+    * ``_starts`` — max-heap of ``(-interval start, txn)``;
+    * ``_sns``    — min-heap of ``(sn, txn)`` for SN-bearing entries.
 
     Mutations never delete from the heaps; they push the entry's new
     key.  A heap record is *valid* iff its transaction is still in the
@@ -205,10 +123,6 @@ class _CertIndex:
     This holds even when keys move backwards (interval restarts), which
     matters because certification times are not assumed monotonic.
 
-    ``_gapped`` tracks the entries that hold archived intervals: only
-    those can refuse a candidate that sits between the global bounds
-    (in a gap between two incarnations), so only those need a scan.
-
     Epoch GC (:meth:`compact`) rebuilds the heaps from the live table
     once stale records dominate.  It discards exactly the records the
     validity check would have skipped, so it cannot change any answer.
@@ -218,8 +132,6 @@ class _CertIndex:
         "_ends",
         "_starts",
         "_sns",
-        "_seqs",
-        "_gapped",
         "_gc_min",
         "_gc_factor",
         "compactions",
@@ -230,8 +142,6 @@ class _CertIndex:
         self._ends: List[Tuple[float, TxnId]] = []
         self._starts: List[Tuple[float, TxnId]] = []
         self._sns: List[Tuple[SerialNumber, TxnId]] = []
-        self._seqs: List[Tuple[int, TxnId]] = []
-        self._gapped: Dict[TxnId, PreparedEntry] = {}
         self._gc_min = gc_min_entries
         self._gc_factor = gc_stale_factor
         self.compactions = 0
@@ -240,26 +150,16 @@ class _CertIndex:
     # -- maintenance ---------------------------------------------------
 
     def on_insert(self, entry: PreparedEntry) -> None:
-        heapq.heappush(self._ends, (_max_end(entry), entry.txn))
-        heapq.heappush(self._starts, (-_min_start(entry), entry.txn))
+        self.on_interval_change(entry)
         if entry.sn is not None:
             heapq.heappush(self._sns, (entry.sn, entry.txn))
-        heapq.heappush(self._seqs, (entry.prepare_seq, entry.txn))
-        if entry.archive:
-            self._gapped[entry.txn] = entry
 
     def on_interval_change(self, entry: PreparedEntry) -> None:
-        heapq.heappush(self._ends, (_max_end(entry), entry.txn))
-        heapq.heappush(self._starts, (-_min_start(entry), entry.txn))
-        if entry.archive:
-            self._gapped[entry.txn] = entry
-
-    def on_remove(self, txn: TxnId) -> None:
-        # Heap records die lazily; only the gap set is exact.
-        self._gapped.pop(txn, None)
+        heapq.heappush(self._ends, (entry.interval.end, entry.txn))
+        heapq.heappush(self._starts, (-entry.interval.start, entry.txn))
 
     def depth(self) -> int:
-        return len(self._ends) + len(self._starts) + len(self._sns) + len(self._seqs)
+        return len(self._ends) + len(self._starts) + len(self._sns)
 
     def maybe_compact(self, table: Dict[TxnId, PreparedEntry]) -> None:
         limit = max(self._gc_min, int(self._gc_factor * max(1, len(table))))
@@ -267,7 +167,6 @@ class _CertIndex:
             len(self._ends) > limit
             or len(self._starts) > limit
             or len(self._sns) > limit
-            or len(self._seqs) > limit
         ):
             self.compact(table)
 
@@ -275,15 +174,12 @@ class _CertIndex:
         """Epoch GC: rebuild every heap from the live table."""
         before = self.depth()
         entries = list(table.values())
-        self._ends = [(_max_end(e), e.txn) for e in entries]
-        self._starts = [(-_min_start(e), e.txn) for e in entries]
+        self._ends = [(e.interval.end, e.txn) for e in entries]
+        self._starts = [(-e.interval.start, e.txn) for e in entries]
         self._sns = [(e.sn, e.txn) for e in entries if e.sn is not None]
-        self._seqs = [(e.prepare_seq, e.txn) for e in entries]
         heapq.heapify(self._ends)
         heapq.heapify(self._starts)
         heapq.heapify(self._sns)
-        heapq.heapify(self._seqs)
-        self._gapped = {e.txn: e for e in entries if e.archive}
         self.compactions += 1
         self.reclaimed += before - self.depth()
 
@@ -292,12 +188,12 @@ class _CertIndex:
     def min_end_entry(
         self, table: Dict[TxnId, PreparedEntry]
     ) -> Optional[PreparedEntry]:
-        """The live entry with the earliest maximum interval end."""
+        """The live entry with the earliest interval end."""
         heap = self._ends
         while heap:
             end, txn = heap[0]
             entry = table.get(txn)
-            if entry is not None and _max_end(entry) == end:
+            if entry is not None and entry.interval.end == end:
                 return entry
             heapq.heappop(heap)
         return None
@@ -305,49 +201,41 @@ class _CertIndex:
     def max_start_entry(
         self, table: Dict[TxnId, PreparedEntry]
     ) -> Optional[PreparedEntry]:
-        """The live entry with the latest minimum interval start."""
+        """The live entry with the latest interval start."""
         heap = self._starts
         while heap:
             neg_start, txn = heap[0]
             entry = table.get(txn)
-            if entry is not None and _min_start(entry) == -neg_start:
+            if entry is not None and entry.interval.start == -neg_start:
                 return entry
             heapq.heappop(heap)
         return None
 
-    def gapped_entries(self) -> List[PreparedEntry]:
-        return list(self._gapped.values())
-
     def miss_witness(
         self, table: Dict[TxnId, PreparedEntry], candidate: AliveInterval
     ) -> Optional[PreparedEntry]:
-        """A live entry none of whose intervals intersect ``candidate``,
-        or None if the candidate intersects every entry."""
+        """A live entry whose interval misses ``candidate``, or None if
+        the candidate intersects every entry."""
         entry = self.min_end_entry(table)
-        if entry is not None and _max_end(entry) < candidate.start:
+        if entry is not None and entry.interval.end < candidate.start:
             return entry
         entry = self.max_start_entry(table)
-        if entry is not None and _min_start(entry) > candidate.end:
+        if entry is not None and entry.interval.start > candidate.end:
             return entry
-        for entry in self._gapped.values():
-            if not entry.intersects(candidate):
-                return entry
         return None
 
-    def _min_excluding(
-        self,
-        heap: List[tuple],
-        table: Dict[TxnId, PreparedEntry],
-        key_of: Callable[[PreparedEntry], object],
-        pivot: TxnId,
+    def min_sn_other(
+        self, table: Dict[TxnId, PreparedEntry], pivot: TxnId
     ) -> Optional[PreparedEntry]:
-        """The valid heap minimum whose transaction is not ``pivot``."""
+        """The live entry with the smallest SN whose transaction is not
+        ``pivot``."""
+        heap = self._sns
         pivot_record = None
         result = None
         while heap:
-            key, txn = heap[0]
+            sn, txn = heap[0]
             entry = table.get(txn)
-            if entry is None or key_of(entry) != key:
+            if entry is None or entry.sn != sn:
                 heapq.heappop(heap)
                 continue
             if txn == pivot:
@@ -358,16 +246,6 @@ class _CertIndex:
         if pivot_record is not None:
             heapq.heappush(heap, pivot_record)
         return result
-
-    def min_sn_other(
-        self, table: Dict[TxnId, PreparedEntry], pivot: TxnId
-    ) -> Optional[PreparedEntry]:
-        return self._min_excluding(self._sns, table, lambda e: e.sn, pivot)
-
-    def min_seq_other(
-        self, table: Dict[TxnId, PreparedEntry], pivot: TxnId
-    ) -> Optional[PreparedEntry]:
-        return self._min_excluding(self._seqs, table, lambda e: e.prepare_seq, pivot)
 
 
 class Certifier:
@@ -388,8 +266,6 @@ class Certifier:
             else None
         )
         self._max_committed_sn: Optional[SerialNumber] = None
-        self._prepare_seq = itertools.count()
-        self._max_committed_prepare_seq = -1
         #: SN → txn over the live table: the global-uniqueness check.
         #: With federated SN allocators, an overlapping lease grant
         #: would first surface here as two live entries sharing one SN
@@ -402,6 +278,11 @@ class Certifier:
         self.commit_checks = 0
         self.commit_delays = 0
 
+    def fresh(self) -> "Certifier":
+        """An empty certifier of the same kind.  The table is volatile
+        state, so a restarted agent starts over from one of these."""
+        return type(self)(self.site, self.config)
+
     # ------------------------------------------------------------------
     # Prepare certification (Appendix B)
     # ------------------------------------------------------------------
@@ -411,7 +292,6 @@ class Certifier:
         txn: TxnId,
         sn: Optional[SerialNumber],
         candidate: AliveInterval,
-        access_set: frozenset = frozenset(),
     ) -> CertDecision:
         """Extended + basic prepare certification for ``txn``.
 
@@ -419,8 +299,6 @@ class Certifier:
         time between the last performed operation and the time of the
         checking moment itself".  The caller performs the subsequent
         alive check and the table insertion (via :meth:`insert`).
-        ``access_set`` is only consulted by the unsound conflict-aware
-        variant (``CertifierConfig.conflict_aware_basic``).
         """
         self.prepare_checks += 1
         if txn in self._table:
@@ -428,11 +306,11 @@ class Certifier:
         refusal = self._check_extension(sn)
         if refusal is not None:
             return refusal
-        return self._check_basic(candidate, access_set)
+        return self._check_basic(txn, candidate)
 
     def _check_extension(self, sn: Optional[SerialNumber]) -> Optional[CertDecision]:
         """The extension: refuse a PREPARE below a committed SN."""
-        if self.config.prepare_extension and sn is not None:
+        if sn is not None:
             if self._max_committed_sn is not None and sn < self._max_committed_sn:
                 self.prepare_refusals_extension += 1
                 return CertDecision(
@@ -445,31 +323,17 @@ class Certifier:
                 )
         return None
 
-    def _check_basic(
-        self, candidate: AliveInterval, access_set: frozenset
-    ) -> CertDecision:
+    def _check_basic(self, txn: TxnId, candidate: AliveInterval) -> CertDecision:
         """The alive time intersection rule over the whole table."""
-        if not self.config.basic_prepare:
-            return CertDecision(ok=True)
-        if self._index is not None and not self.config.conflict_aware_basic:
-            # The conflict-aware ablation needs per-entry access sets on
-            # every miss, so it stays on the linear scan below.
+        if self._index is not None:
             witness = self._index.miss_witness(self._table, candidate)
             if witness is not None:
                 return self._refuse_intersection(witness, candidate)
-            return CertDecision(ok=True)
+            return APPROVE
         for entry in self._table.values():
-            if entry.intersects(candidate):
-                continue
-            if self.config.conflict_aware_basic and not (
-                access_set & entry.access_set
-            ):
-                # The unsound shortcut: "their access sets are
-                # disjoint, so they cannot conflict" — blind to
-                # indirect conflicts through local transactions.
-                continue
-            return self._refuse_intersection(entry, candidate)
-        return CertDecision(ok=True)
+            if not entry.intersects(candidate):
+                return self._refuse_intersection(entry, candidate)
+        return APPROVE
 
     def _refuse_intersection(
         self, entry: PreparedEntry, candidate: AliveInterval
@@ -490,7 +354,6 @@ class Certifier:
         txn: TxnId,
         sn: Optional[SerialNumber],
         interval: AliveInterval,
-        access_set: frozenset = frozenset(),
     ) -> PreparedEntry:
         """Insert ``txn`` into the alive interval table (move to prepared)."""
         if txn in self._table:
@@ -504,13 +367,7 @@ class Certifier:
                     "(lease allocators) issued overlapping ranges"
                 )
             self._live_sns[sn] = txn
-        entry = PreparedEntry(
-            txn=txn,
-            sn=sn,
-            interval=interval,
-            prepare_seq=next(self._prepare_seq),
-            access_set=access_set,
-        )
+        entry = PreparedEntry(txn=txn, sn=sn, interval=interval)
         self._table[txn] = entry
         if self._index is not None:
             self._index.on_insert(entry)
@@ -520,9 +377,10 @@ class Certifier:
     def begin_prepare_batch(self) -> "PrepareBatch":
         """Start certifying a group of PREPAREs with one index pass.
 
-        See :class:`PrepareBatch`.  Under the naive engine (or the
-        conflict-aware ablation) the batch transparently degrades to
-        per-call :meth:`certify_prepare`, so it is always safe to use.
+        See :class:`PrepareBatch`.  Under the naive engine (or a
+        certifier that overrides the basic check) the batch
+        transparently degrades to per-call :meth:`certify_prepare`, so
+        it is always safe to use.
         """
         return PrepareBatch(self)
 
@@ -540,17 +398,8 @@ class Certifier:
 
     def restart_interval(self, txn: TxnId, now: float) -> None:
         """Resubmission complete: "a new interval is always initiated
-        after the resubmission of all the commands is complete".
-
-        With ``max_intervals`` > 1, the previous incarnation's interval
-        is archived (up to the configured memory) rather than dropped —
-        the paper's optional optimization.
-        """
+        after the resubmission of all the commands is complete"."""
         entry = self._entry(txn)
-        if self.config.max_intervals > 1:
-            entry.archive.append(entry.interval)
-            keep = self.config.max_intervals - 1
-            entry.archive = entry.archive[-keep:]
         entry.interval = AliveInterval.instant(now)
         if self._index is not None:
             self._index.on_interval_change(entry)
@@ -561,66 +410,31 @@ class Certifier:
     # ------------------------------------------------------------------
 
     def certify_commit(self, txn: TxnId) -> CertDecision:
-        """May ``txn`` commit locally now?
-
-        Under the SN policy: every *other* subtransaction in the alive
-        interval table must have a bigger serial number.  Under the
-        rejected PREPARE_ORDER policy: every other entry must have
-        entered the prepared state later.
-        """
+        """May ``txn`` commit locally now?  Every *other* subtransaction
+        in the alive interval table must have a bigger serial number."""
         self.commit_checks += 1
-        entry = self._entry(txn)
-        if not self.config.commit_certification:
-            return CertDecision(ok=True)
-        if self._index is not None:
-            return self._certify_commit_indexed(entry)
-        for other in self._table.values():
-            if other is entry:
-                continue
-            if self.config.commit_order is CommitOrderPolicy.SERIAL_NUMBER:
-                if entry.sn is None or other.sn is None:
-                    continue
-                if other.sn < entry.sn:
-                    self.commit_delays += 1
-                    return CertDecision(
-                        ok=False,
-                        detail=(
-                            f"{other.txn.label} holds smaller {other.sn} < {entry.sn}"
-                        ),
-                    )
-            else:
-                if other.prepare_seq < entry.prepare_seq:
-                    self.commit_delays += 1
-                    return CertDecision(
-                        ok=False,
-                        detail=f"{other.txn.label} prepared earlier",
-                    )
-        return CertDecision(ok=True)
+        return self._check_commit(self._entry(txn))
 
-    def _certify_commit_indexed(self, entry: PreparedEntry) -> CertDecision:
-        """Commit certification via one peek at the SN/seq heap."""
-        assert self._index is not None
-        if self.config.commit_order is CommitOrderPolicy.SERIAL_NUMBER:
-            if entry.sn is None:
-                return CertDecision(ok=True)
+    def _check_commit(self, entry: PreparedEntry) -> CertDecision:
+        """The SN order rule: no other entry holds a smaller SN."""
+        if entry.sn is None:
+            return APPROVE
+        if self._index is not None:
             other = self._index.min_sn_other(self._table, entry.txn)
-            if other is not None and other.sn is not None and other.sn < entry.sn:
-                self.commit_delays += 1
-                return CertDecision(
-                    ok=False,
-                    detail=(
-                        f"{other.txn.label} holds smaller {other.sn} < {entry.sn}"
-                    ),
-                )
-        else:
-            other = self._index.min_seq_other(self._table, entry.txn)
-            if other is not None and other.prepare_seq < entry.prepare_seq:
-                self.commit_delays += 1
-                return CertDecision(
-                    ok=False,
-                    detail=f"{other.txn.label} prepared earlier",
-                )
-        return CertDecision(ok=True)
+            if other is not None and other.sn < entry.sn:
+                return self._delay_commit(other, entry)
+            return APPROVE
+        for other in self._table.values():
+            if other is not entry and other.sn is not None and other.sn < entry.sn:
+                return self._delay_commit(other, entry)
+        return APPROVE
+
+    def _delay_commit(self, other: PreparedEntry, entry: PreparedEntry) -> CertDecision:
+        self.commit_delays += 1
+        return CertDecision(
+            ok=False,
+            detail=f"{other.txn.label} holds smaller {other.sn} < {entry.sn}",
+        )
 
     def restore_max_committed_sn(self, sn: Optional[SerialNumber]) -> None:
         """Reload the extension's durable register (agent recovery)."""
@@ -632,23 +446,17 @@ class Certifier:
     def record_local_commit(self, txn: TxnId) -> None:
         """Track the biggest committed SN (state of the extension)."""
         entry = self._table.get(txn)
-        if entry is None:
-            return
-        if entry.sn is not None:
-            if self._max_committed_sn is None or entry.sn > self._max_committed_sn:
-                self._max_committed_sn = entry.sn
-        self._max_committed_prepare_seq = max(
-            self._max_committed_prepare_seq, entry.prepare_seq
-        )
+        if entry is not None:
+            self.restore_max_committed_sn(entry.sn)
 
     def remove(self, txn: TxnId) -> None:
         """Drop ``txn`` from the table (local commit done or rollback)."""
         entry = self._table.pop(txn, None)
-        if entry is not None and entry.sn is not None:
-            if self._live_sns.get(entry.sn) == txn:
-                del self._live_sns[entry.sn]
-        if entry is not None and self._index is not None:
-            self._index.on_remove(txn)
+        if entry is None:
+            return
+        if entry.sn is not None and self._live_sns.get(entry.sn) == txn:
+            del self._live_sns[entry.sn]
+        if self._index is not None:
             self._index.maybe_compact(self._table)
 
     # ------------------------------------------------------------------
@@ -714,21 +522,21 @@ class PrepareBatch:
     """Certify a group of commuting PREPAREs with one index pass.
 
     The batch snapshots the table's extremal entries (min end, max
-    start, gapped entries) once, then answers each member's basic check
-    in O(1) against the snapshot plus the *running bounds* of members
-    already admitted: a candidate intersects every admitted
-    single-interval entry iff its start is ≤ the minimum admitted end
-    and its end is ≥ the maximum admitted start.  Admitting a member
-    (:meth:`admit`) inserts it into the table and folds its endpoints
-    into the running bounds, so later members are checked against it
-    without touching the index again.
+    start) once, then answers each member's basic check in O(1) against
+    the snapshot plus the *running bounds* of members already admitted:
+    a candidate intersects every admitted entry iff its start is ≤ the
+    minimum admitted end and its end is ≥ the maximum admitted start.
+    Admitting a member (:meth:`admit`) inserts it into the table and
+    folds its endpoints into the running bounds, so later members are
+    checked against it without touching the index again.
 
     Decision-equivalent to calling :meth:`Certifier.certify_prepare`
     then :meth:`Certifier.insert` sequentially for each member (same
-    ``ok``/``reason``/counters; the refusal witness may differ).  Under
-    the naive engine — or when the conflict-aware ablation or a
-    disabled basic check makes the snapshot useless — every call
-    degrades to the sequential path.
+    ``ok``/``reason``/counters; the refusal witness may differ).  The
+    snapshot answers only the paper's basic check, so under the naive
+    engine — or a certifier subclass that overrides
+    :meth:`Certifier._check_basic` — every call degrades to the
+    sequential path.
     """
 
     def __init__(self, certifier: Certifier) -> None:
@@ -736,33 +544,28 @@ class PrepareBatch:
         self._snapshot = False
         self._min_end: Optional[Tuple[float, PreparedEntry]] = None
         self._max_start: Optional[Tuple[float, PreparedEntry]] = None
-        self._gapped: List[PreparedEntry] = []
         index = certifier._index
-        config = certifier.config
         if (
             index is not None
-            and config.basic_prepare
-            and not config.conflict_aware_basic
+            and type(certifier)._check_basic is Certifier._check_basic
         ):
             self._snapshot = True
             low = index.min_end_entry(certifier._table)
             if low is not None:
-                self._min_end = (_max_end(low), low)
+                self._min_end = (low.interval.end, low)
             high = index.max_start_entry(certifier._table)
             if high is not None:
-                self._max_start = (_min_start(high), high)
-            self._gapped = index.gapped_entries()
+                self._max_start = (high.interval.start, high)
 
     def certify(
         self,
         txn: TxnId,
         sn: Optional[SerialNumber],
         candidate: AliveInterval,
-        access_set: frozenset = frozenset(),
     ) -> CertDecision:
         certifier = self._certifier
         if not self._snapshot:
-            return certifier.certify_prepare(txn, sn, candidate, access_set=access_set)
+            return certifier.certify_prepare(txn, sn, candidate)
         certifier.prepare_checks += 1
         if txn in certifier._table:
             raise SimulationError(
@@ -775,20 +578,16 @@ class PrepareBatch:
             return certifier._refuse_intersection(self._min_end[1], candidate)
         if self._max_start is not None and self._max_start[0] > candidate.end:
             return certifier._refuse_intersection(self._max_start[1], candidate)
-        for entry in self._gapped:
-            if not entry.intersects(candidate):
-                return certifier._refuse_intersection(entry, candidate)
-        return CertDecision(ok=True)
+        return APPROVE
 
     def admit(
         self,
         txn: TxnId,
         sn: Optional[SerialNumber],
         interval: AliveInterval,
-        access_set: frozenset = frozenset(),
     ) -> PreparedEntry:
         """Insert an accepted member and fold it into the running bounds."""
-        entry = self._certifier.insert(txn, sn, interval, access_set=access_set)
+        entry = self._certifier.insert(txn, sn, interval)
         if self._snapshot:
             if self._min_end is None or interval.end < self._min_end[0]:
                 self._min_end = (interval.end, entry)

@@ -28,18 +28,31 @@ The ``method`` string selects the transaction-management method:
 ``cgm``                 the Commit Graph Method baseline (S17): global
                         table-granularity S2PL + commit-graph admission
 ======================  ====================================================
+
+Every method but ``2cm``, ``ticket`` and ``cgm`` is an entry of
+:data:`repro.ablations.ABLATIONS`, applied to the built system; ``cgm``
+runs on the ``naive`` entry's certifiers.
+
+``ticket`` (S19) is Sec. 5.2's rejected alternative: "pick transaction
+identifiers from a totally ordered set used by each Certifier" —
+*"it would require all global transactions to be serialized in the
+same order even if they could not have caused any problems"*.  The SN
+is drawn at BEGIN from a central counter, so SN order is submission
+order, fixed before anyone knows the real serialization order; the
+paper's certifier then refuses a PREPARE behind a younger committed
+ticket (aborted in vain, E7) and makes commits wait for older tickets.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError, RefusalReason, TransactionAborted
 from repro.common.ids import SubtxnId, TxnId, local_txn
 from repro.core.agent import AgentConfig, TwoPCAgent
-from repro.core.certifier import Certifier, CertifierConfig, CommitOrderPolicy
+from repro.core.certifier import Certifier, CertifierConfig
 from repro.core.coordinator import (
     Coordinator,
     CoordinatorTimeouts,
@@ -109,10 +122,6 @@ class SystemConfig:
     #: these tables and may not read others once they update; locals
     #: may not update these tables).  Empty = partitioning off.
     cgm_gu_tables: Tuple[str, ...] = ()
-    #: Alive intervals remembered per prepared subtransaction (the
-    #: paper's "several of them might be stored" optimization; 1 = the
-    #: paper's easiest implementation).
-    max_intervals: int = 1
     #: Certification engine at every site: ``naive`` (the Appendix
     #: linear scan, the differential oracle and golden default) or
     #: ``indexed`` (endpoint/SN heaps with epoch GC, O(log n)/check).
@@ -188,32 +197,6 @@ class LocalOutcome:
     results: List[object] = field(default_factory=list)
 
 
-def certifier_config_for(method: str) -> CertifierConfig:
-    """The certifier feature set of each method preset."""
-    if method == "2cm":
-        return CertifierConfig()
-    if method == "2cm-noext":
-        return CertifierConfig(prepare_extension=False)
-    if method == "2cm-nocommitcert":
-        return CertifierConfig(commit_certification=False)
-    if method == "2cm-prepare-order":
-        return CertifierConfig(
-            prepare_extension=False,
-            commit_order=CommitOrderPolicy.PREPARE_ORDER,
-        )
-    if method == "2cm-conflict-aware":
-        # The UNSOUND predicate-style variant (E17 ablation): only
-        # refuse disjoint intervals when access sets directly intersect.
-        return CertifierConfig(conflict_aware_basic=True)
-    if method == "naive":
-        return CertifierConfig.naive()
-    if method == "ticket":
-        return CertifierConfig()
-    if method == "cgm":
-        return CertifierConfig.naive()
-    raise ConfigError(f"unknown method {method!r}")
-
-
 class MultidatabaseSystem:
     """One fully wired HMDBS plus submission and inspection helpers."""
 
@@ -261,18 +244,14 @@ class MultidatabaseSystem:
                 self.session.on_dead_letter = _dead_letter_feedback
         self.ltms: Dict[str, LocalTransactionManager] = {}
         self.guards: Dict[str, BoundDataGuard] = {}
-        self.certifiers: Dict[str, Certifier] = {}
         self.agents: Dict[str, TwoPCAgent] = {}
 
-        cert_config = replace(
-            certifier_config_for(config.method),
-            max_intervals=config.max_intervals,
+        cert_config = CertifierConfig(
             engine=config.certifier_engine,
-        )
-        if config.federation is not None:
             # Overlapping lease grants would surface as two live entries
             # sharing one SN — make that impossible to miss.
-            cert_config = replace(cert_config, assert_unique_sns=True)
+            assert_unique_sns=config.federation is not None,
+        )
         static_denied = (
             frozenset(config.cgm_gu_tables)
             if config.method == "cgm"
@@ -292,7 +271,6 @@ class MultidatabaseSystem:
                 config=config.ltm_overrides.get(site, config.ltm),
                 dlu_guard=guard,
             )
-            certifier = Certifier(site, cert_config)
             agent_log = None
             if config.durability is not None:
                 from repro.durability.agent_log import DurableAgentLog
@@ -304,7 +282,7 @@ class MultidatabaseSystem:
                 self.transport,
                 self.history,
                 ltm,
-                certifier,
+                Certifier(site, cert_config),
                 dlu_guard=guard,
                 config=config.agent_overrides.get(site, config.agent),
                 log=agent_log,
@@ -319,7 +297,6 @@ class MultidatabaseSystem:
                 )
             self.guards[site] = guard
             self.ltms[site] = ltm
-            self.certifiers[site] = certifier
             self.agents[site] = agent
 
         sn_source = "counter" if config.method == "ticket" else config.sn_source
@@ -462,6 +439,13 @@ class MultidatabaseSystem:
         self._coordinator_index = {
             c.name: i for i, c in enumerate(self.coordinators)
         }
+        # Imported here: repro.ablations imports repro.core.agent, whose
+        # package imports this module.
+        from repro.ablations import ABLATIONS
+
+        ablation = ABLATIONS.get("naive" if config.method == "cgm" else config.method)
+        if ablation is not None:
+            ablation.apply(self)
 
     def _make_lease_request(self, name: str, decision_log):
         def request():

@@ -15,7 +15,6 @@ explore --help`` for the CLI.
 """
 
 from repro.explore.harness import ExploreSpec, RunResult, matrix, run_once
-from repro.explore.mutants import MUTANTS, get_mutant
 from repro.explore.schedule_file import (
     load_schedule,
     replay_schedule,
@@ -46,7 +45,6 @@ __all__ = [
     "Exploration",
     "ExploreSpec",
     "HybridChooser",
-    "MUTANTS",
     "RandomChooser",
     "RecordingChooser",
     "RunResult",
@@ -57,7 +55,6 @@ __all__ = [
     "explore_coverage",
     "explore_dfs",
     "explore_random",
-    "get_mutant",
     "load_schedule",
     "matrix",
     "replay_schedule",

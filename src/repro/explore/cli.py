@@ -6,11 +6,12 @@ Modes (mutually exclusive):
   strategy (or all three), shrink any failure, optionally write
   ``.schedule`` files; exit 1 on violation.
 * ``--mutant NAME --expect-find`` — the CI gate: the run *fails unless*
-  the explorer finds the seeded regression (and the shrunk trace
-  replays with the same violation kinds and fingerprint).
+  the explorer finds the ablation (and the shrunk trace replays with
+  the same violation kinds and fingerprint).  ``NAME`` is any entry of
+  :data:`repro.ablations.ABLATIONS`.
 * ``--replay FILE`` — re-run a ``.schedule`` file; exit 0 iff the
   recorded violation kinds and history fingerprint reproduce.
-* ``--list-mutants`` — show the seeded regressions.
+* ``--list-mutants`` — show every ablation with the claim it tests.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import json
 import os
 from typing import List, Optional, Tuple
 
+from repro.ablations import ABLATIONS
 from repro.explore.harness import ExploreSpec, matrix, run_once
-from repro.explore.mutants import MUTANTS
 from repro.explore.schedule_file import replay_schedule, save_schedule
 from repro.explore.shrink import ShrinkResult, shrink
 from repro.explore.strategies import STRATEGIES, Exploration, explore
@@ -77,9 +78,9 @@ def _explore_one(
 
 def _cmd_explore(args) -> int:
     if args.list_mutants:
-        for mutant in MUTANTS.values():
-            kinds = ",".join(mutant.expected_kinds)
-            print(f"{mutant.name}: {mutant.description} [{kinds}]")
+        for ablation in ABLATIONS.values():
+            kinds = ",".join(ablation.expected_kinds) or "not reached yet"
+            print(f"{ablation.name} ({ablation.claim}): {ablation.description} [{kinds}]")
         return 0
 
     if args.replay:
@@ -149,7 +150,7 @@ def _cmd_explore(args) -> int:
     if args.expect_find:
         if not found_any:
             print(
-                "EXPECTED a violation (seeded mutant "
+                "EXPECTED a violation (ablation "
                 f"{args.mutant!r}) but the explorer found none"
             )
             return 1
@@ -214,9 +215,9 @@ def add_explore_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--mutant",
-        choices=sorted(MUTANTS),
+        choices=sorted(ABLATIONS),
         default=None,
-        help="patch in a seeded regression (the harness's self-test)",
+        help="patch in an ablation (the harness's self-test)",
     )
     parser.add_argument(
         "--expect-find",
@@ -245,6 +246,6 @@ def add_explore_parser(subparsers) -> None:
     parser.add_argument(
         "--list-mutants",
         action="store_true",
-        help="list the seeded regressions and exit",
+        help="list the ablations with the claims they test and exit",
     )
     parser.set_defaults(run=_cmd_explore)

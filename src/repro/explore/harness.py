@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.coordinator import CoordinatorTimeouts
 from repro.core.dtm import MultidatabaseSystem, SystemConfig
-from repro.explore.mutants import get_mutant
+from repro.ablations import ABLATIONS
 from repro.explore.nemesis import (
     ChoiceAbortInjector,
     ChoiceCrashInjector,
@@ -51,8 +51,8 @@ class ExploreSpec:
     certifier_engine: str = "naive"
     durability: bool = False
     n_coordinators: int = 1
-    method: str = "2cm"
-    #: Name of a seeded regression to patch in (None = healthy system).
+    #: Name of a :data:`repro.ablations.ABLATIONS` entry to patch in
+    #: (None = the healthy ``2cm`` system).
     mutant: Optional[str] = None
     #: Fault budgets for the choice-driven nemesis.
     budget: FaultBudget = field(default_factory=FaultBudget)
@@ -86,7 +86,6 @@ class ExploreSpec:
             "certifier_engine": self.certifier_engine,
             "durability": self.durability,
             "n_coordinators": self.n_coordinators,
-            "method": self.method,
             "mutant": self.mutant,
             "budget": {
                 "drops": self.budget.drops,
@@ -161,7 +160,6 @@ def build_system(spec: ExploreSpec, durability_root: Optional[str] = None):
         SystemConfig(
             sites=spec.sites,
             n_coordinators=spec.n_coordinators,
-            method=spec.method,
             seed=spec.seed,
             certifier_engine=spec.certifier_engine,
             durability=durability,
@@ -177,7 +175,7 @@ def build_system(spec: ExploreSpec, durability_root: Optional[str] = None):
     ChoiceCrashInjector(system, budget)
     ChoiceAbortInjector(system, budget)
     if spec.mutant is not None:
-        get_mutant(spec.mutant).apply(system)
+        ABLATIONS[spec.mutant].apply(system)
     return system
 
 

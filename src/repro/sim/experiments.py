@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.ablations import remember_intervals
 from repro.core.dtm import MultidatabaseSystem, SystemConfig
 from repro.history.invariants import check_correctness_invariant
 from repro.ldbs.dlu import DLUPolicy
@@ -554,14 +555,9 @@ def exp_interval_memory(
         ok_runs = 0
         for seed in seeds:
             system = MultidatabaseSystem(
-                SystemConfig(
-                    sites=("a", "b"),
-                    n_coordinators=2,
-                    method="2cm",
-                    seed=seed,
-                    max_intervals=memory,
-                )
+                SystemConfig(sites=("a", "b"), n_coordinators=2, seed=seed)
             )
+            remember_intervals(system, memory)
             RandomFailureInjector(system, probability=failure_probability, seed=seed)
             schedule = _workload(seed=seed, n_global=10, n_local=2)
             run_schedule(system, schedule)

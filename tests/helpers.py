@@ -1,9 +1,11 @@
-"""Shared test helpers: draining a system, hand-building histories in
-paper notation."""
+"""Shared test helpers: draining a system, building an ablated
+certifier, hand-building histories in paper notation."""
 
 from typing import Optional
 
+from repro.ablations import ABLATIONS, remember_intervals
 from repro.common.ids import DataItemId, SubtxnId, TxnId, global_txn, local_txn
+from repro.core.dtm import MultidatabaseSystem, SystemConfig
 from repro.history.model import History
 
 
@@ -13,6 +15,17 @@ def drain(system, limit=100_000.0):
     while system.kernel.pending and system.kernel.now <= limit:
         system.run(max_events=50_000)
     assert not system.kernel.pending, "system did not quiesce"
+
+
+def ablated_certifier(name: str, engine: str = "naive", depth: int = 1):
+    """Site ``a``'s certifier after the ablation ``name`` is applied to a
+    one-site system (``"memory"`` = E14's interval memory of ``depth``)."""
+    system = MultidatabaseSystem(SystemConfig(sites=("a",), certifier_engine=engine))
+    if name == "memory":
+        remember_intervals(system, depth)
+    else:
+        ABLATIONS[name].apply(system)
+    return system.certifier("a")
 
 
 class HistoryBuilder:

@@ -4,12 +4,10 @@ import pytest
 
 from repro.common.errors import RefusalReason, SimulationError
 from repro.common.ids import SerialNumber, global_txn
-from repro.core.certifier import (
-    Certifier,
-    CertifierConfig,
-    CommitOrderPolicy,
-)
+from repro.core.certifier import Certifier, CertifierConfig
 from repro.core.intervals import AliveInterval
+
+from tests.helpers import ablated_certifier
 
 
 def sn(value, site="c1"):
@@ -61,9 +59,7 @@ class TestBasicPrepare:
         assert not decision.ok  # misses T1's interval
 
     def test_disabled_basic_accepts_disjoint(self, engine):
-        certifier = Certifier(
-            "a", CertifierConfig(basic_prepare=False, engine=engine)
-        )
+        certifier = ablated_certifier("cert-blind", engine)
         certifier.insert(global_txn(1), sn(1), AliveInterval(0, 10))
         decision = certifier.certify_prepare(
             global_txn(2), sn(2), AliveInterval(11, 20)
@@ -109,9 +105,7 @@ class TestPrepareExtension:
         assert not decision.ok
 
     def test_disabled_extension_accepts_out_of_order(self, engine):
-        certifier = Certifier(
-            "a", CertifierConfig(prepare_extension=False, engine=engine)
-        )
+        certifier = ablated_certifier("2cm-noext", engine)
         certifier.insert(global_txn(8), sn(50), AliveInterval(0, 10))
         certifier.record_local_commit(global_txn(8))
         certifier.remove(global_txn(8))
@@ -150,9 +144,7 @@ class TestCommitCertification:
         assert certifier.certify_commit(global_txn(2)).ok
 
     def test_disabled_commit_cert_always_passes(self, engine):
-        certifier = Certifier(
-            "a", CertifierConfig(commit_certification=False, engine=engine)
-        )
+        certifier = ablated_certifier("2cm-nocommitcert", engine)
         certifier.insert(global_txn(1), sn(10), AliveInterval(0, 10))
         certifier.insert(global_txn(2), sn(20), AliveInterval(0, 10))
         assert certifier.certify_commit(global_txn(2)).ok
@@ -166,14 +158,7 @@ class TestPrepareOrderPolicy:
     """The rejected alternative: commit in prepared order."""
 
     def make(self, engine):
-        return Certifier(
-            "a",
-            CertifierConfig(
-                prepare_extension=False,
-                commit_order=CommitOrderPolicy.PREPARE_ORDER,
-                engine=engine,
-            ),
-        )
+        return ablated_certifier("2cm-prepare-order", engine)
 
     def test_earlier_prepared_commits_first(self, engine):
         certifier = self.make(engine)
@@ -222,12 +207,10 @@ class TestIntervalMaintenance:
 
 class TestMultipleIntervals:
     """The paper's optional optimization: remember several alive
-    intervals per prepared subtransaction."""
+    intervals per prepared subtransaction (E14's ablation)."""
 
-    def make(self, max_intervals, engine):
-        return Certifier(
-            "a", CertifierConfig(max_intervals=max_intervals, engine=engine)
-        )
+    def make(self, depth, engine):
+        return ablated_certifier("memory", engine, depth=depth)
 
     def test_single_interval_forgets_history(self, engine):
         certifier = self.make(1, engine)
@@ -253,10 +236,13 @@ class TestMultipleIntervals:
         certifier.insert(global_txn(1), sn(1), AliveInterval(0, 10))
         certifier.restart_interval(global_txn(1), 20.0)
         certifier.restart_interval(global_txn(1), 40.0)
-        entry_intervals = certifier._entry(global_txn(1)).all_intervals()
-        assert len(entry_intervals) == 2
-        # The oldest interval [0, 10] was evicted.
-        assert AliveInterval(0, 10) not in entry_intervals
+        # The oldest interval [0, 10] was evicted; [20, 20] is archived.
+        assert not certifier.certify_prepare(
+            global_txn(2), sn(2), AliveInterval(5, 15)
+        ).ok
+        assert certifier.certify_prepare(
+            global_txn(3), sn(3), AliveInterval(15, 25)
+        ).ok
 
     def test_current_interval_still_extended(self, engine):
         certifier = self.make(3, engine)

@@ -10,7 +10,7 @@ count the work each engine does per check, so they hold on any machine:
   test, the commit rule's per-entry test, and every SN-heap sift step);
 * the indexed prepare check's endpoint-heap peeks compare floats and are
   not counted, so there the index must never fall back to
-  ``intersects`` on an ungapped table;
+  ``intersects``;
 * the spies live here only, installed with ``monkeypatch``.
 """
 

@@ -2,7 +2,7 @@
 
 Drives random streams of prepare / extend / restart / commit / remove
 operations through a naive linear-scan certifier and an indexed one
-built from the same :class:`CertifierConfig`, asserting after every
+— both implementing the paper's rule — asserting after every
 operation that both engines produce the *identical* certification
 decision — same ``ok``, same :class:`RefusalReason` — and that the
 decision counters and table membership never diverge.
@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
 from repro.common.ids import SerialNumber, global_txn
-from repro.core.certifier import Certifier, CertifierConfig, CommitOrderPolicy
+from repro.core.certifier import Certifier, CertifierConfig
 from repro.core.intervals import AliveInterval
 
 # ----------------------------------------------------------------------
@@ -67,16 +67,9 @@ def _op():
 
 _streams = st.lists(_op(), min_size=1, max_size=60)
 
-_configs = st.builds(
-    dict,
-    max_intervals=st.integers(min_value=1, max_value=3),
-    commit_order=st.sampled_from(list(CommitOrderPolicy)),
-    prepare_extension=st.booleans(),
-)
 
-
-def _pair(config_kwargs):
-    naive = Certifier("s", CertifierConfig(engine="naive", **config_kwargs))
+def _pair():
+    naive = Certifier("s", CertifierConfig(engine="naive"))
     indexed = Certifier(
         "s",
         CertifierConfig(
@@ -85,7 +78,6 @@ def _pair(config_kwargs):
             # short streams Hypothesis generates.
             gc_min_entries=4,
             gc_stale_factor=1.5,
-            **config_kwargs,
         ),
     )
     return naive, indexed
@@ -110,8 +102,8 @@ def _assert_same_counters(naive, indexed):
     assert naive.max_committed_sn == indexed.max_committed_sn
 
 
-def _run_stream(config_kwargs, ops):
-    naive, indexed = _pair(config_kwargs)
+def _run_stream(ops):
+    naive, indexed = _pair()
     for op in ops:
         kind = op[0]
         if kind == "prepare":
@@ -175,24 +167,21 @@ def _run_stream(config_kwargs, ops):
 
 
 @settings(max_examples=120, deadline=None)
-@given(config_kwargs=_configs, ops=_streams)
-def test_engines_agree_on_random_streams(config_kwargs, ops):
+@given(ops=_streams)
+def test_engines_agree_on_random_streams(ops):
     """Every decision and counter is identical, op for op."""
-    _run_stream(config_kwargs, ops)
+    _run_stream(ops)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    config_kwargs=_configs,
     ops=_streams,
     probe_start=_times,
     probe_len=st.integers(min_value=0, max_value=10),
 )
-def test_final_tables_answer_probes_identically(
-    config_kwargs, ops, probe_start, probe_len
-):
+def test_final_tables_answer_probes_identically(ops, probe_start, probe_len):
     """After an arbitrary stream, fresh probe certifications agree."""
-    naive, indexed = _run_stream(config_kwargs, ops)
+    naive, indexed = _run_stream(ops)
     probe = global_txn(999)
     candidate = AliveInterval(probe_start, probe_start + probe_len)
     left = naive.certify_prepare(probe, None, candidate)
@@ -202,7 +191,6 @@ def test_final_tables_answer_probes_identically(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    config_kwargs=_configs,
     ops=_streams,
     members=st.lists(
         st.tuples(
@@ -213,14 +201,14 @@ def test_final_tables_answer_probes_identically(
         unique_by=lambda m: m[0],
     ),
 )
-def test_batched_prepares_match_sequential_naive(config_kwargs, ops, members):
+def test_batched_prepares_match_sequential_naive(ops, members):
     """A PrepareBatch on the indexed engine equals the naive sequence.
 
     The batch snapshots the index bounds once and folds admitted
     members into running bounds; the naive oracle certifies the same
     members one by one.  Decisions must match member for member.
     """
-    naive, indexed = _run_stream(config_kwargs, ops)
+    naive, indexed = _run_stream(ops)
     batch = indexed.begin_prepare_batch()
     for n, a, b, sn in members:
         txn = global_txn(n)
@@ -235,10 +223,10 @@ def test_batched_prepares_match_sequential_naive(config_kwargs, ops, members):
 
 
 @settings(max_examples=30, deadline=None)
-@given(config_kwargs=_configs, ops=_streams)
-def test_duplicate_prepare_raises_on_both(config_kwargs, ops):
+@given(ops=_streams)
+def test_duplicate_prepare_raises_on_both(ops):
     """Both engines reject re-preparing a live transaction."""
-    naive, indexed = _run_stream(config_kwargs, ops)
+    naive, indexed = _run_stream(ops)
     live = naive.prepared_txns()
     if not live:
         return

@@ -3,8 +3,9 @@ batched prepares, and the END-watermark GC of agent state.
 
 The decision-for-decision equivalence of the two engines is proven
 property-style in ``test_certifier_differential.py``; this module pins
-the targeted edge cases (gap misses, compaction, the batch cursor) and
-the system-level wiring (engine selection, batching, DONE-entry GC).
+the targeted edge cases (backward-moving keys, compaction, the batch
+cursor) and the system-level wiring (engine selection, batching,
+DONE-entry GC).
 """
 
 import pytest
@@ -12,15 +13,13 @@ import pytest
 from repro.common.errors import ConfigError, RefusalReason, SimulationError
 from repro.common.ids import SerialNumber, global_txn
 from repro.core.agent import AgentConfig, AgentPhase
-from repro.core.certifier import (
-    Certifier,
-    CertifierConfig,
-    CommitOrderPolicy,
-)
+from repro.ablations import ABLATIONS
+from repro.core.certifier import Certifier, CertifierConfig
 from repro.core.dtm import SystemConfig
 from repro.core.intervals import AliveInterval
 from repro.sim.metrics import audit, collect_metrics
 from tests.fingerprint_util import fingerprint, run_seeded_workload
+from tests.helpers import ablated_certifier
 
 
 def sn(value, site="c1"):
@@ -49,12 +48,13 @@ class TestEngineConfig:
 
 
 class TestGapMiss:
-    """A candidate inside a gap between archived intervals must be
-    refused — the endpoint bounds alone cannot see it."""
+    """E14's interval memory: a candidate inside a gap between two
+    remembered intervals must be refused — the endpoint bounds alone
+    cannot see it, so the memory scans every remembered interval."""
 
     def test_gap_between_incarnations_refused(self):
         for engine in ("naive", "indexed"):
-            certifier = make(engine, max_intervals=3)
+            certifier = ablated_certifier("memory", engine, depth=3)
             certifier.insert(global_txn(1), sn(1), AliveInterval(0, 10))
             certifier.restart_interval(global_txn(1), 20.0)
             # Entry now knows [0, 10] and [20, 20]: bounds are [0, 20]
@@ -66,7 +66,7 @@ class TestGapMiss:
             assert decision.reason is RefusalReason.ALIVE_INTERSECTION, engine
 
     def test_candidate_touching_archive_passes(self):
-        certifier = make(max_intervals=3)
+        certifier = ablated_certifier("memory", "indexed", depth=3)
         certifier.insert(global_txn(1), sn(1), AliveInterval(0, 10))
         certifier.restart_interval(global_txn(1), 20.0)
         assert certifier.certify_prepare(
@@ -74,7 +74,7 @@ class TestGapMiss:
         ).ok
 
     def test_gap_entry_removed_clears_the_scan_set(self):
-        certifier = make(max_intervals=3)
+        certifier = ablated_certifier("memory", "indexed", depth=3)
         certifier.insert(global_txn(1), sn(1), AliveInterval(0, 10))
         certifier.restart_interval(global_txn(1), 20.0)
         certifier.remove(global_txn(1))
@@ -88,7 +88,7 @@ class TestBackwardMovingKeys:
     lazy heaps must still answer with the *current* extrema."""
 
     def test_restart_shrinks_max_end(self):
-        certifier = make()  # max_intervals=1: the restart forgets [0, 100]
+        certifier = make()  # the restart forgets [0, 100]
         certifier.insert(global_txn(1), sn(1), AliveInterval(0, 100))
         certifier.restart_interval(global_txn(1), 5.0)
         # Entry is now [5, 5]; a candidate at [50, 60] misses it.
@@ -131,7 +131,7 @@ class TestEpochGC:
         assert certifier.index_depth() < depth_before
 
     def test_decisions_unchanged_across_gc(self):
-        certifier = make(max_intervals=2)
+        certifier = make()
         certifier.insert(global_txn(1), sn(10), AliveInterval(0, 10))
         certifier.insert(global_txn(2), sn(20), AliveInterval(5, 15))
         certifier.restart_interval(global_txn(1), 30.0)
@@ -150,13 +150,13 @@ class TestCommitCertIndexed:
         # Regression for the satellite fix: the pivot must never block
         # itself, with exactly one entry in the table.
         for engine in ("naive", "indexed"):
-            for policy in CommitOrderPolicy:
-                certifier = Certifier(
-                    "a",
-                    CertifierConfig(engine=engine, commit_order=policy),
-                )
+            for method in ("2cm", "2cm-prepare-order"):
+                if method == "2cm":
+                    certifier = make(engine)
+                else:
+                    certifier = ablated_certifier(method, engine)
                 certifier.insert(global_txn(1), sn(10), AliveInterval(0, 10))
-                assert certifier.certify_commit(global_txn(1)).ok, (engine, policy)
+                assert certifier.certify_commit(global_txn(1)).ok, (engine, method)
 
     def test_pivot_on_heap_top_is_skipped_not_lost(self):
         certifier = make()
@@ -230,6 +230,43 @@ class TestPrepareBatch:
         decision = batch.certify(global_txn(2), sn(40), AliveInterval(0, 100))
         assert not decision.ok
         assert decision.reason is RefusalReason.PREPARE_OUT_OF_ORDER
+
+
+@pytest.mark.parametrize("engine", ("naive", "indexed"))
+@pytest.mark.parametrize("name", sorted(ABLATIONS))
+def test_batch_matches_sequential_under_every_ablation(name, engine):
+    """A batch must decide exactly what the ablated certifier's own
+    ``certify_prepare`` decides: the snapshot answers only the paper's
+    basic check, so an ablation that overrides it degrades the batch."""
+    members = [
+        (1, sn(1), AliveInterval(20, 30)),  # misses the seed entry
+        (2, sn(2), AliveInterval(5, 15)),  # intersects the seed entry
+        (3, sn(40), AliveInterval(0, 100)),  # below the committed SN 50
+    ]
+    outcomes = []
+    for batched in (False, True):
+        certifier = ablated_certifier(name, engine)
+        certifier.insert(global_txn(99), sn(50), AliveInterval(0, 10))
+        certifier.record_local_commit(global_txn(99))
+        certifier.remove(global_txn(99))
+        certifier.insert(global_txn(100), sn(100), AliveInterval(0, 10))
+        batch = certifier.begin_prepare_batch()
+        decisions = []
+        for number, serial, interval in members:
+            if batched:
+                decision = batch.certify(global_txn(number), serial, interval)
+            else:
+                decision = certifier.certify_prepare(global_txn(number), serial, interval)
+            decisions.append((decision.ok, decision.reason))
+        outcomes.append(
+            (
+                decisions,
+                certifier.prepare_checks,
+                certifier.prepare_refusals_extension,
+                certifier.prepare_refusals_intersection,
+            )
+        )
+    assert outcomes[0] == outcomes[1]
 
 
 class TestEngineEquivalenceEndToEnd:

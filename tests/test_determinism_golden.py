@@ -27,6 +27,10 @@ import pytest
 
 from tests.fingerprint_util import fingerprint, run_seeded_workload
 
+from repro.ablations import remember_intervals
+from repro.common.ids import SerialNumber, global_txn
+from repro.core.dtm import MultidatabaseSystem, SystemConfig
+from repro.core.intervals import AliveInterval
 from repro.explore import ExploreSpec, RandomChooser, run_once
 from repro.sim.failures import ChaosConfig, run_chaos
 from repro.sim.overload import OverloadDrillConfig, run_overload
@@ -150,3 +154,160 @@ def test_overload_drill_matches_golden(seed, shed):
 @pytest.mark.parametrize("name", sorted(EXPLORE_GOLDEN))
 def test_explorer_walks_match_golden(name):
     assert explore_digest(name) == EXPLORE_GOLDEN[name]
+
+
+# ----------------------------------------------------------------------
+# The ablations: every method's certifier, and E14's interval memory,
+# captured while each was still a switch on ``CertifierConfig``.  They
+# prove that each registry entry in ``repro.ablations`` is the switch it
+# replaced.  Regenerate (only after an *intentional* semantic change) by
+# printing what each test below asserts on.
+# ----------------------------------------------------------------------
+
+CERTIFIER_OPS = 400
+
+
+def certifier_digest(certifier, seed: int = 0) -> str:
+    """Digest of a seeded sequence of certifier operations: every
+    decision with its detail, then the decision counters."""
+    rng = random.Random(seed)
+    now = 0.0
+    live = []
+    trace = []
+    for number in range(1, CERTIFIER_OPS + 1):
+        now += rng.uniform(0.0, 10.0)
+        op = rng.choice(("prepare", "prepare", "extend", "restart", "commit", "remove"))
+        if op == "prepare" or not live:
+            txn = global_txn(number)
+            sn = None
+            if rng.random() > 0.1:
+                sn = SerialNumber(now + rng.uniform(-40.0, 10.0), "c1", number)
+            # Some candidates end in the past, so an interval memory can
+            # matter (one that ends "now" never reaches an older interval).
+            end = now - rng.uniform(0.0, 30.0) if rng.random() < 0.3 else now
+            candidate = AliveInterval(end - rng.uniform(0.0, 60.0), end)
+            decision = certifier.certify_prepare(txn, sn, candidate)
+            trace.append(("prepare", txn.label, decision.ok, decision.reason, decision.detail))
+            if decision.ok:
+                certifier.insert(txn, sn, candidate)
+                live.append(txn)
+            continue
+        txn = live[rng.randrange(len(live))]
+        if op == "extend":
+            certifier.extend_interval(txn, now)
+        elif op == "restart":
+            certifier.restart_interval(txn, now)
+        elif op == "commit":
+            decision = certifier.certify_commit(txn)
+            trace.append(("commit", txn.label, decision.ok, decision.detail))
+            if decision.ok:
+                certifier.record_local_commit(txn)
+                certifier.remove(txn)
+                live.remove(txn)
+        else:
+            certifier.remove(txn)
+            live.remove(txn)
+    counters = (
+        certifier.prepare_checks,
+        certifier.prepare_refusals_extension,
+        certifier.prepare_refusals_intersection,
+        certifier.commit_checks,
+        certifier.commit_delays,
+        certifier.max_committed_sn,
+        certifier.prepared_txns(),
+    )
+    return _digest(trace, counters)
+
+
+def method_system(method: str, engine: str) -> MultidatabaseSystem:
+    return MultidatabaseSystem(
+        SystemConfig(sites=("a",), method=method, certifier_engine=engine)
+    )
+
+
+#: (method, engine, seed, failures) -> ``run_seeded_workload`` fingerprint.
+ABLATION_GOLDEN = {
+    ('2cm', 'naive', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm', 'naive', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('2cm', 'indexed', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm', 'indexed', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('2cm-noext', 'naive', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm-noext', 'naive', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('2cm-noext', 'indexed', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm-noext', 'indexed', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('2cm-nocommitcert', 'naive', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm-nocommitcert', 'naive', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('2cm-nocommitcert', 'indexed', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm-nocommitcert', 'indexed', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('2cm-prepare-order', 'naive', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm-prepare-order', 'naive', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('2cm-prepare-order', 'indexed', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm-prepare-order', 'indexed', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('2cm-conflict-aware', 'naive', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm-conflict-aware', 'naive', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('2cm-conflict-aware', 'indexed', 1, 0.3): '6f08df4e6a57a862be00088d5a59249d57e4d9ea7f9ac77610af78ba0c494ea5',
+    ('2cm-conflict-aware', 'indexed', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('naive', 'naive', 1, 0.3): 'b2b2664044e03e3569c33cbb95913dc94951cb31a07bc2881f454c575a71e5c6',
+    ('naive', 'naive', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('naive', 'indexed', 1, 0.3): 'b2b2664044e03e3569c33cbb95913dc94951cb31a07bc2881f454c575a71e5c6',
+    ('naive', 'indexed', 2, 0.5): '08face7c070a9dbf0ec2558708b8d4ce2318d82fecbff75eba1cd606c018ca9d',
+    ('ticket', 'naive', 1, 0.3): 'd1820de9855b26f9d9a6c2ea5ecebd1196e3b3c9efc49776dc9e120cd311ee4d',
+    ('ticket', 'naive', 2, 0.5): '7adc09522fa8ef061acd68bd0069932e3e0e3d718a6d28dd12ce086d99a701da',
+    ('ticket', 'indexed', 1, 0.3): 'd1820de9855b26f9d9a6c2ea5ecebd1196e3b3c9efc49776dc9e120cd311ee4d',
+    ('ticket', 'indexed', 2, 0.5): '7adc09522fa8ef061acd68bd0069932e3e0e3d718a6d28dd12ce086d99a701da',
+    ('cgm', 'naive', 1, 0.3): '13598236251e08d5c489842f379ebddf89da9381feeab0e3a6a5b217b1b0851f',
+    ('cgm', 'naive', 2, 0.5): '4abc28353cbf54f19ce7dfa6e3bc3e231a0b48060d1403eef5ef36082ccdf90e',
+    ('cgm', 'indexed', 1, 0.3): '13598236251e08d5c489842f379ebddf89da9381feeab0e3a6a5b217b1b0851f',
+    ('cgm', 'indexed', 2, 0.5): '4abc28353cbf54f19ce7dfa6e3bc3e231a0b48060d1403eef5ef36082ccdf90e',
+}
+
+#: (method, engine) -> ``certifier_digest`` of that method's certifier.
+CERTIFIER_GOLDEN = {
+    ('2cm', 'naive'): '301ca1be64ad7f57a5be8c9bbb85ae269de1b89d40bdd11dafe5981716ababb3',
+    ('2cm', 'indexed'): '868694276b77854a89fb84ff5738dcf1a4731389d9d08c194ab03be06e5797e5',
+    ('2cm-noext', 'naive'): 'cbd648aa65bd9020fa8857f24d0d73028c0ba9db687653bb67e2991cffe5999a',
+    ('2cm-noext', 'indexed'): 'ad177e92ce4389de47a962a2087686d67c9096e0a9d01d266a595a9c3046be66',
+    ('2cm-nocommitcert', 'naive'): 'c52a317c654750082ec230db311d6e3bebb7e914aa2f07dcc72bf223163392a2',
+    ('2cm-nocommitcert', 'indexed'): '0d4e111c34f4c5f309b7986ed07d3cf8c90f42d7e39dcd2087ee75b043f9b917',
+    ('2cm-prepare-order', 'naive'): 'be086b97c6cf9833a05d7e1effe7741c91bdca6b604e6e40628f02b6269e4d6b',
+    ('2cm-prepare-order', 'indexed'): '8494e22621586bc56db85511971eecc12c45e5798e8db18ad15cecc1987bc7a2',
+    ('2cm-conflict-aware', 'naive'): '00129d1ea6f5b1465b7fe11ac02b286bc2426349662cc3051dc46c053999ac5c',
+    ('2cm-conflict-aware', 'indexed'): '688fb2fa4d913a6678bd37fc9e9a19eb814f529431349e132e1cd081660758c4',
+    ('naive', 'naive'): 'f8a4a99fa727cc91ef30a38195d2ad27ba712b046a76e03b4c07852c06ec87b5',
+    ('naive', 'indexed'): 'f8a4a99fa727cc91ef30a38195d2ad27ba712b046a76e03b4c07852c06ec87b5',
+    ('ticket', 'naive'): '301ca1be64ad7f57a5be8c9bbb85ae269de1b89d40bdd11dafe5981716ababb3',
+    ('ticket', 'indexed'): '868694276b77854a89fb84ff5738dcf1a4731389d9d08c194ab03be06e5797e5',
+    ('cgm', 'naive'): 'f8a4a99fa727cc91ef30a38195d2ad27ba712b046a76e03b4c07852c06ec87b5',
+    ('cgm', 'indexed'): 'f8a4a99fa727cc91ef30a38195d2ad27ba712b046a76e03b4c07852c06ec87b5',
+}
+
+
+@pytest.mark.parametrize("method,engine,seed,failures", sorted(ABLATION_GOLDEN))
+def test_ablation_workload_matches_golden(method, engine, seed, failures):
+    result = run_seeded_workload(
+        seed, failures=failures, method=method, certifier_engine=engine
+    )
+    assert fingerprint(result) == ABLATION_GOLDEN[(method, engine, seed, failures)]
+
+
+@pytest.mark.parametrize("method,engine", sorted(CERTIFIER_GOLDEN))
+def test_method_certifier_matches_golden(method, engine):
+    certifier = method_system(method, engine).certifier("a")
+    assert certifier_digest(certifier) == CERTIFIER_GOLDEN[(method, engine)]
+
+
+#: (interval memory depth, engine) -> ``certifier_digest`` of E14's
+#: certifier.  Naive engine only: the old indexed engine named a
+#: different refusal witness (same decisions and counters), and the
+#: interval memory now always scans.
+MEMORY_GOLDEN = {
+    (2, 'naive'): '480ac6fe01171df098acd2e67aafa45c606212e768ef80b61836587101493939',
+    (4, 'naive'): '55f1385e6a9ff3c2d90779a151c8017795da933e073eab19ff0124001b35440e',
+}
+
+
+@pytest.mark.parametrize("depth,engine", sorted(MEMORY_GOLDEN))
+def test_interval_memory_matches_golden(depth, engine):
+    system = method_system("2cm", engine)
+    remember_intervals(system, depth)
+    assert certifier_digest(system.certifier("a")) == MEMORY_GOLDEN[(depth, engine)]

@@ -4,14 +4,16 @@ import pytest
 
 from repro.common.errors import ConfigError, RefusalReason
 from repro.common.ids import global_txn
-from repro.core.certifier import CommitOrderPolicy
-from repro.core.coordinator import GlobalTransactionSpec
-from repro.core.dtm import (
-    METHODS,
-    MultidatabaseSystem,
-    SystemConfig,
-    certifier_config_for,
+from repro.ablations import (
+    ABLATIONS,
+    NoCertificationCertifier,
+    NoCommitCertificationCertifier,
+    NoExtensionCertifier,
+    PrepareOrderCertifier,
 )
+from repro.core.certifier import Certifier
+from repro.core.coordinator import GlobalTransactionSpec
+from repro.core.dtm import METHODS, MultidatabaseSystem, SystemConfig
 from repro.core.serial import CentralCounterSN, RealTimeClockSN
 from repro.ldbs.commands import AddValue, ReadItem, UpdateItem
 from repro.ldbs.dlu import DLUPolicy
@@ -36,43 +38,52 @@ class TestSystemConfig:
             assert system.config.method == method
 
 
+def certifier_type(method):
+    """The class of every site's certifier under ``method``."""
+    system = MultidatabaseSystem.build(method, sites=("a", "b"))
+    kinds = {type(system.certifier(site)) for site in ("a", "b")}
+    assert len(kinds) == 1
+    return kinds.pop()
+
+
 class TestMethodPresets:
+    """Every method but 2cm, ticket and cgm resolves through the
+    ablation registry; the paper's methods run the plain certifier."""
+
     def test_2cm_everything_on(self):
-        config = certifier_config_for("2cm")
-        assert config.basic_prepare
-        assert config.prepare_extension
-        assert config.commit_certification
-        assert config.commit_order is CommitOrderPolicy.SERIAL_NUMBER
+        assert certifier_type("2cm") is Certifier
 
     def test_noext_disables_only_extension(self):
-        config = certifier_config_for("2cm-noext")
-        assert config.basic_prepare and config.commit_certification
-        assert not config.prepare_extension
+        assert certifier_type("2cm-noext") is NoExtensionCertifier
 
     def test_nocommitcert(self):
-        config = certifier_config_for("2cm-nocommitcert")
-        assert not config.commit_certification
-        assert config.basic_prepare
+        assert certifier_type("2cm-nocommitcert") is NoCommitCertificationCertifier
 
     def test_prepare_order_policy(self):
-        config = certifier_config_for("2cm-prepare-order")
-        assert config.commit_order is CommitOrderPolicy.PREPARE_ORDER
+        assert certifier_type("2cm-prepare-order") is PrepareOrderCertifier
 
     def test_naive_everything_off(self):
-        config = certifier_config_for("naive")
-        assert not (
-            config.basic_prepare
-            or config.prepare_extension
-            or config.commit_certification
-        )
+        assert certifier_type("naive") is NoCertificationCertifier
 
     def test_cgm_uses_naive_certifiers(self):
-        config = certifier_config_for("cgm")
-        assert not config.basic_prepare
+        assert certifier_type("cgm") is NoCertificationCertifier
+
+    def test_ticket_keeps_the_papers_certifier(self):
+        assert certifier_type("ticket") is Certifier
+
+    def test_every_ablated_method_is_a_registry_entry(self):
+        for method in METHODS:
+            if method not in ("2cm", "ticket", "cgm"):
+                assert method in ABLATIONS, method
 
     def test_unknown_method_raises(self):
-        with pytest.raises(ConfigError):
-            certifier_config_for("nope")
+        with pytest.raises(KeyError):
+            ABLATIONS["nope"]
+
+    def test_ablated_certifier_survives_agent_restart(self):
+        system = MultidatabaseSystem.build("2cm-noext", sites=("a",))
+        system.agent("a").simulate_restart()
+        assert type(system.certifier("a")) is NoExtensionCertifier
 
 
 class TestWiring:
@@ -82,6 +93,36 @@ class TestWiring:
             assert system.agent(site).site == site
             assert system.certifier(site).site == site
             assert system.ltm(site).site == site
+
+    def test_build_forwards_kwargs(self):
+        system = MultidatabaseSystem.build("naive", sites=("x",), n_coordinators=3)
+        assert system.config.method == "naive"
+        assert len(system.coordinators) == 3
+
+    def test_build_naive_method(self):
+        system = MultidatabaseSystem.build("naive", sites=("a", "b"))
+        assert system.config.method == "naive"
+        assert system.config.sites == ("a", "b")
+        for site in ("a", "b"):
+            assert type(system.certifier(site)) is NoCertificationCertifier
+
+    def test_build_ticket_method(self):
+        system = MultidatabaseSystem.build("ticket", sites=("a", "b"))
+        assert system.config.method == "ticket"
+        assert isinstance(system.sn_generator, CentralCounterSN)
+        assert all(c.sn_at_begin for c in system.coordinators)
+
+    def test_naive_method_runs_transactions(self):
+        system = MultidatabaseSystem.build("naive", sites=("a",))
+        system.load("a", "t", {1: 5})
+        done = system.submit(
+            GlobalTransactionSpec(
+                txn=global_txn(1),
+                steps=(("a", UpdateItem("t", 1, AddValue(1))),),
+            )
+        )
+        system.run()
+        assert done.value.committed
 
     def test_ticket_forces_central_counter_and_sn_at_begin(self):
         system = MultidatabaseSystem(SystemConfig(method="ticket"))

@@ -4,7 +4,8 @@ The load-bearing assertions:
 
 * the chooser-less kernel path is untouched (goldens elsewhere);
 * traces replay deterministically (same trace ⇒ same fingerprint);
-* every seeded mutant is *found* by DFS within a small run budget,
+* every ablation the explorer reaches (non-empty ``expected_kinds``)
+  is *found* by DFS within a small run budget,
   *shrunk* to ≤ 25% of the failing trace, and the shrunk repro
   *replays* with the same violation kinds and fingerprint;
 * a healthy system explored the same way reports nothing (the oracle
@@ -16,9 +17,9 @@ import random
 
 import pytest
 
+from repro.ablations import ABLATIONS
 from repro.explore import (
     ExploreSpec,
-    MUTANTS,
     DefaultChooser,
     RandomChooser,
     TraceChooser,
@@ -114,7 +115,11 @@ class TestHealthyExploration:
         assert len(exploration.coverage) > 3
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+#: The ablations the explorer's default workload reaches.
+GATED = sorted(name for name, ablation in ABLATIONS.items() if ablation.expected_kinds)
+
+
+@pytest.mark.parametrize("mutant", GATED)
 class TestMutantGate:
     """The harness's proof: find, shrink, replay — per seeded bug."""
 
@@ -124,7 +129,7 @@ class TestMutantGate:
         assert exploration.found, exploration.summary()
 
         failing = exploration.failures[0]
-        expected = set(MUTANTS[mutant].expected_kinds)
+        expected = set(ABLATIONS[mutant].expected_kinds)
         assert failing.violation_kinds() & expected, (
             f"{mutant}: found {failing.violation_kinds()}, "
             f"expected overlap with {expected}"
@@ -215,5 +220,5 @@ class TestExploreCLI:
 
         assert main(["explore", "--list-mutants"]) == 0
         out = capsys.readouterr().out
-        for name in MUTANTS:
-            assert name in out
+        for ablation in ABLATIONS.values():
+            assert f"{ablation.name} ({ablation.claim})" in out

@@ -63,7 +63,7 @@ from repro.core.coordinator import (
 )
 from repro.core.dtm import MultidatabaseSystem, SystemConfig
 from repro.core.intervals import AliveInterval
-from repro.core.serial import CentralCounterSN, LamportSN, RealTimeClockSN, SiteClock
+from repro.core.serial import CentralCounterSN, RealTimeClockSN, SiteClock
 from repro.history.committed import committed_projection
 from repro.history.distortion import find_distortions
 from repro.history.graphs import commit_order_graph, serialization_graph
@@ -121,7 +121,6 @@ __all__ = [
     "InsertItem",
     "KeyIn",
     "LTMConfig",
-    "LamportSN",
     "LatencyModel",
     "LockTimeout",
     "MultidatabaseSystem",

@@ -84,12 +84,6 @@ class RefusalReason(enum.Enum):
     #: rate crossed the threshold and new work is refused until a
     #: half-open probe succeeds.
     SITE_BREAKER_OPEN = "site-breaker-open"
-    #: Federation routing: the BEGIN reached a coordinator that does not
-    #: own the transaction's shard (stale shard map, or a deposed owner
-    #: after a handoff).  The refusal carries a redirect hint naming the
-    #: owning coordinator so the client can resubmit without a retry
-    #: storm.
-    WRONG_SHARD = "wrong-shard"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value

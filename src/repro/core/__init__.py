@@ -1,7 +1,7 @@
 """The paper's contribution: the decentralized DTM (systems S8–S12).
 
 * :mod:`repro.core.serial` — serial-number generation (drifting site
-  clocks, central counter, Lamport clock) and the per-site clock model;
+  clocks, central counter) and the per-site clock model;
 * :mod:`repro.core.intervals` — alive time intervals and the
   intersection rule;
 * :mod:`repro.core.agent_log` — the durable Agent log (commands,
@@ -28,7 +28,6 @@ from repro.core.dtm import MultidatabaseSystem, SystemConfig
 from repro.core.intervals import AliveInterval
 from repro.core.serial import (
     CentralCounterSN,
-    LamportSN,
     RealTimeClockSN,
     SiteClock,
     SNGenerator,
@@ -44,7 +43,6 @@ __all__ = [
     "CoordinatorTimeouts",
     "GlobalOutcome",
     "GlobalTransactionSpec",
-    "LamportSN",
     "MultidatabaseSystem",
     "RealTimeClockSN",
     "SNGenerator",

@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import (
     AgentCrashed,
@@ -219,11 +219,6 @@ class TwoPCAgent:
         self.on_resubmit_failure_observers: List[Callable[[TxnId], None]] = []
         # Counters for the benchmarks.
         self.refusals: Dict[RefusalReason, int] = {}
-        #: Largest serial number this site has seen (on any PREPARE or
-        #: local commit) — piggybacked on replies so logical-clock SN
-        #: generators can stay causally ahead (paper Sec. 5.2's
-        #: "logical distributed clock" alternative).
-        self.max_seen_sn: Optional[SerialNumber] = None
         self.ready_sent = 0
         self.commits_done = 0
         self.rollbacks_done = 0
@@ -239,15 +234,6 @@ class TwoPCAgent:
         self.begin_redeliveries = 0
         #: DONE entries dropped on the coordinator's END watermark.
         self.done_forgotten = 0
-        #: Federation fence: highest shard-ownership epoch seen per
-        #: shard (from BEGIN stamps).  A BEGIN claiming an older epoch
-        #: comes from a deposed owner and is rejected — only BEGIN,
-        #: in-flight 2PC from the old owner must finish for atomicity.
-        self._shard_epochs: Dict[int, int] = {}
-        #: Transactions whose BEGIN was fenced; their COMMANDs are
-        #: failed with WRONG_SHARD instead of SITE_UNREACHABLE.
-        self._fenced: Set[TxnId] = set()
-        self.fenced_begins = 0
         network.register(self.address, self._on_message)
         ltm.on_unilateral_abort(self._on_uan)
 
@@ -303,35 +289,14 @@ class TwoPCAgent:
                 txn=msg.txn,
                 payload=payload,
                 reason=reason,
-                sn=self.max_seen_sn,
             )
         )
-
-    def _note_sn(self, sn: Optional[SerialNumber]) -> None:
-        if sn is None:
-            return
-        if self.max_seen_sn is None or sn > self.max_seen_sn:
-            self.max_seen_sn = sn
 
     # ------------------------------------------------------------------
     # Active state: BEGIN and COMMAND
     # ------------------------------------------------------------------
 
     def _on_begin(self, msg: Message) -> None:
-        if msg.shard is not None and msg.shard_epoch is not None:
-            seen = self._shard_epochs.get(msg.shard, 0)
-            if msg.shard_epoch < seen:
-                # Deposed owner: a later epoch for this shard has been
-                # witnessed, so the sender lost a handoff it does not
-                # know about yet.  Refuse to open state; the follow-up
-                # COMMAND is failed with WRONG_SHARD below.
-                self.fenced_begins += 1
-                self._fenced.add(msg.txn)
-                self.refusals[RefusalReason.WRONG_SHARD] = (
-                    self.refusals.get(RefusalReason.WRONG_SHARD, 0) + 1
-                )
-                return
-            self._shard_epochs[msg.shard] = msg.shard_epoch
         existing = self._txns.get(msg.txn)
         if existing is not None:
             if existing.recovered:
@@ -356,20 +321,6 @@ class TwoPCAgent:
     def _on_command(self, msg: Message) -> None:
         state = self._txns.get(msg.txn)
         if state is None:
-            if msg.txn in self._fenced:
-                # The BEGIN was fenced (deposed shard owner): tell the
-                # sender why, so it can refresh its shard map instead of
-                # treating this site as failed.
-                self._reply(
-                    msg,
-                    MsgType.COMMAND_RESULT,
-                    payload=TransactionAborted(
-                        RefusalReason.WRONG_SHARD,
-                        f"agent {self.site}: BEGIN for {msg.txn} carried a "
-                        "stale shard epoch",
-                    ),
-                )
-                return
             # A restart wiped the volatile state (the entry never
             # reached its prepare record): fail the command so the
             # coordinator aborts, exactly like a refused participant.
@@ -503,7 +454,6 @@ class TwoPCAgent:
             # too late: a prepared entry blocks the certifier's table
             # until the coordinator decides, and this one can only be
             # aborted anyway.
-            self._note_sn(msg.sn)
             self._abort_and_refuse(
                 state,
                 msg,
@@ -512,7 +462,6 @@ class TwoPCAgent:
             )
             return
         state.sn = msg.sn
-        self._note_sn(msg.sn)
         candidate = AliveInterval(state.last_activity, self.kernel.now)
         # Perform an alive check on every prepared subtransaction right
         # now and extend the intervals of the live ones — otherwise "too
@@ -674,7 +623,6 @@ class TwoPCAgent:
                 dst=state.coordinator,
                 txn=state.txn,
                 payload=f"decision overdue at {self.site}",
-                sn=self.max_seen_sn,
             )
         )
 
@@ -795,7 +743,6 @@ class TwoPCAgent:
                 txn=state.txn,
                 payload=f"resubmit budget exhausted at {self.site} "
                 f"after {state.resubmit_failures} failures",
-                sn=self.max_seen_sn,
             )
         )
 
@@ -985,7 +932,6 @@ class TwoPCAgent:
         yet DONE are never dropped — a crash-recovered agent may still
         be driving a resumed commit when the watermark arrives.
         """
-        self._fenced.discard(txn)
         if not self.config.gc_done_txns:
             return
         state = self._txns.get(txn)
@@ -1087,7 +1033,6 @@ class TwoPCAgent:
                         src=self.address,
                         dst=entry.coordinator,
                         txn=entry.txn,
-                        sn=self.max_seen_sn,
                     )
                 )
                 self.log.discard(entry.txn)

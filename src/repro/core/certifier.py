@@ -65,13 +65,6 @@ class CertifierConfig:
     #: records, bounding index memory under sustained load.
     gc_min_entries: int = 64
     gc_stale_factor: float = 4.0
-    #: Fail loudly when two live prepared entries carry the same serial
-    #: number.  Every real SN source guarantees uniqueness, and with
-    #: federated lease allocators a collision means overlapping grants —
-    #: protocol corruption.  Off by default because the differential
-    #: fuzzer feeds synthetic duplicate SNs on purpose; the federated
-    #: system builder turns it on.
-    assert_unique_sns: bool = False
 
 
 @dataclass
@@ -266,11 +259,6 @@ class Certifier:
             else None
         )
         self._max_committed_sn: Optional[SerialNumber] = None
-        #: SN → txn over the live table: the global-uniqueness check.
-        #: With federated SN allocators, an overlapping lease grant
-        #: would first surface here as two live entries sharing one SN
-        #: — a protocol-corruption bug, so it fails loudly.
-        self._live_sns: Dict[SerialNumber, TxnId] = {}
         # Decision statistics for the benchmarks.
         self.prepare_checks = 0
         self.prepare_refusals_extension = 0
@@ -358,15 +346,6 @@ class Certifier:
         """Insert ``txn`` into the alive interval table (move to prepared)."""
         if txn in self._table:
             raise SimulationError(f"{txn} already in alive interval table")
-        if sn is not None and self.config.assert_unique_sns:
-            holder = self._live_sns.get(sn)
-            if holder is not None and holder != txn:
-                raise SimulationError(
-                    f"duplicate serial number at {self.site}: {sn} carried by "
-                    f"both {holder.label} and {txn.label} — SN sources "
-                    "(lease allocators) issued overlapping ranges"
-                )
-            self._live_sns[sn] = txn
         entry = PreparedEntry(txn=txn, sn=sn, interval=interval)
         self._table[txn] = entry
         if self._index is not None:
@@ -454,8 +433,6 @@ class Certifier:
         entry = self._table.pop(txn, None)
         if entry is None:
             return
-        if entry.sn is not None and self._live_sns.get(entry.sn) == txn:
-            del self._live_sns[entry.sn]
         if self._index is not None:
             self._index.maybe_compact(self._table)
 

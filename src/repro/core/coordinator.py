@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # avoid a core ↔ durability import knot at runtime
     from repro.durability.decision_log import DurableDecisionLog
 from repro.common.ids import SerialNumber, TxnId
 from repro.core.serial import SNGenerator
-from repro.federation.shard import ShardMap
 from repro.history.model import History
 from repro.kernel.events import Event, EventKernel
 from repro.kernel.process import Process, Sleep
@@ -126,10 +125,6 @@ class GlobalOutcome:
     started_at: float = 0.0
     finished_at: float = 0.0
     results: List[object] = field(default_factory=list)
-    #: WRONG_SHARD refusals only: the coordinator that (as far as the
-    #: refusing one knows) owns the transaction's shard — the client
-    #: resubmits there instead of probing the whole federation.
-    redirect: Optional[str] = None
 
     @property
     def latency(self) -> float:
@@ -236,7 +231,6 @@ class Coordinator:
         overload: Optional[OverloadConfig] = None,
         admission: Optional[AdmissionController] = None,
         breakers: Optional[BreakerRegistry] = None,
-        shard_map: Optional[ShardMap] = None,
     ) -> None:
         self.name = name
         self.site = site
@@ -270,18 +264,6 @@ class Coordinator:
         self._active: Set[TxnId] = set()
         #: Sites that escalated GIVEUP per active transaction.
         self._giveups: Dict[TxnId, Set[str]] = {}
-        #: Federation (``None`` = not federated, every check dormant).
-        #: The map is shared or pushed by the system/supervisor; this
-        #: coordinator only *reads* it, except through adopt_shard.
-        self.shard_map = shard_map
-        #: Shards being drained for handoff: new BEGINs refused with
-        #: WRONG_SHARD (+ redirect to the successor) while in-flight
-        #: globals finish.
-        self._draining: Set[int] = set()
-        self._drain_target: Dict[int, str] = {}
-        self._shard_inflight: Dict[int, int] = {}
-        self.shard_inflight_peak = 0
-        self.wrong_shard_refusals = 0
         self.overload_refusals = 0
         self.deadline_aborts = 0
         self.breaker_refusals = 0
@@ -326,26 +308,17 @@ class Coordinator:
             # Advisory escalation: an agent's resubmission budget ran
             # out.  Honoured only while the global decision is still
             # open — checked at the decision gate in _run_admitted.
-            if msg.sn is not None:
-                self.sn_generator.witness(self.site, msg.sn)
             if msg.txn in self._active:
                 self._giveups.setdefault(msg.txn, set()).add(
                     msg.src.split(":", 1)[-1]
                 )
             return
         if msg.type is MsgType.INQUIRE:
-            if msg.sn is not None:
-                self.sn_generator.witness(self.site, msg.sn)
             self._on_inquire(msg)
             return
         kind = self._KIND_OF.get(msg.type)
         if kind is None:
             raise SimulationError(f"coordinator {self.name} got unexpected {msg}")
-        if msg.sn is not None:
-            # Logical-clock SN sources advance on every witnessed SN, so
-            # causally later commits always draw bigger numbers; no-op
-            # for the clock and counter generators.
-            self.sn_generator.witness(self.site, msg.sn)
         self._expect(msg.txn, msg.src, kind).succeed(msg)
 
     def _on_inquire(self, msg: Message) -> None:
@@ -536,27 +509,6 @@ class Coordinator:
         outcome = GlobalOutcome(
             txn=spec.txn, committed=False, started_at=self.kernel.now
         )
-        shard: Optional[int] = None
-        if self.shard_map is not None:
-            shard = self.shard_map.shard_of(spec.txn)
-            owner = self.shard_map.owner(shard)
-            if owner != self.name or shard in self._draining:
-                # Not this coordinator's bucket (or mid-handoff): refuse
-                # before any BEGIN leaves, pointing the client at the
-                # owner — for a draining shard, at the successor.
-                self.wrong_shard_refusals += 1
-                outcome.reason = RefusalReason.WRONG_SHARD
-                outcome.redirect = (
-                    self._drain_target.get(shard, owner)
-                    if owner == self.name
-                    else owner
-                )
-                outcome.finished_at = self.kernel.now
-                self.aborted += 1
-                self.aborts_by_reason[RefusalReason.WRONG_SHARD] = (
-                    self.aborts_by_reason.get(RefusalReason.WRONG_SHARD, 0) + 1
-                )
-                return outcome
         if self.admission is not None and not self.admission.try_admit():
             # Shed at the front door: no BEGIN was sent anywhere, so
             # there is nothing to roll back and nothing in the history.
@@ -576,10 +528,6 @@ class Coordinator:
         ):
             deadline = self.kernel.now + self.overload.default_deadline
         self._active.add(spec.txn)
-        if shard is not None:
-            live = self._shard_inflight.get(shard, 0) + 1
-            self._shard_inflight[shard] = live
-            self.shard_inflight_peak = max(self.shard_inflight_peak, live)
         try:
             return (
                 yield from self._run_admitted(spec, program, outcome, deadline)
@@ -587,8 +535,6 @@ class Coordinator:
         finally:
             self._active.discard(spec.txn)
             self._giveups.pop(spec.txn, None)
-            if shard is not None:
-                self._shard_inflight[shard] -= 1
             if self.admission is not None:
                 self.admission.release()
 
@@ -602,13 +548,6 @@ class Coordinator:
         sn: Optional[SerialNumber] = None
         if self.sn_at_begin:
             sn = self.sn_generator.generate(self.site)
-        shard: Optional[int] = None
-        shard_epoch: Optional[int] = None
-        if self.shard_map is not None:
-            # Stamp BEGINs with the ownership claim so agents can fence
-            # a deposed owner's fresh transactions after a handoff.
-            shard = self.shard_map.shard_of(spec.txn)
-            shard_epoch = self.shard_map.epoch(shard)
         begun: List[str] = []
 
         # -- active phase: submit the commands, one by one --------------
@@ -664,14 +603,7 @@ class Coordinator:
                         site,
                     )
                     return outcome
-                self._send(
-                    MsgType.BEGIN,
-                    spec.txn,
-                    site,
-                    deadline=deadline,
-                    shard=shard,
-                    shard_epoch=shard_epoch,
-                )
+                self._send(MsgType.BEGIN, spec.txn, site, deadline=deadline)
                 begun.append(site)
             wait = self._expect(spec.txn, f"agent:{site}", "result")
             self._send(
@@ -878,44 +810,6 @@ class Coordinator:
                 self.breakers.record_failure(site, self.kernel.now)
         if self.scheduler is not None:
             self.scheduler.on_end(spec.txn, committed=False)
-
-    # ------------------------------------------------------------------
-    # Federation: shard handoff (drain / adopt)
-    # ------------------------------------------------------------------
-
-    def begin_drain(self, shard: int, successor: Optional[str] = None) -> int:
-        """Stop accepting new globals for ``shard`` (handoff phase 1).
-
-        In-flight globals keep running — the handoff waits for
-        :meth:`shard_inflight` to reach zero (or a timeout; the epoch
-        fence makes forcing safe).  Returns the current in-flight count.
-        """
-        self._draining.add(shard)
-        if successor is not None:
-            self._drain_target[shard] = successor
-        return self.shard_inflight(shard)
-
-    def end_drain(self, shard: int) -> None:
-        """Handoff finished (or was abandoned): drop the drain mark."""
-        self._draining.discard(shard)
-        self._drain_target.pop(shard, None)
-
-    def shard_inflight(self, shard: int) -> int:
-        return self._shard_inflight.get(shard, 0)
-
-    def shard_inflight_by_shard(self) -> Dict[int, int]:
-        """Live per-shard gauge (only shards that ever saw traffic)."""
-        return {s: n for s, n in self._shard_inflight.items() if n > 0}
-
-    def adopt_shard(self, shard: int, epoch: int) -> None:
-        """Take ownership of ``shard`` at ``epoch`` (handoff phase 2).
-
-        Forced into the decision log before any BEGIN is stamped with
-        the new epoch: a recovered successor must keep claiming at
-        least this epoch, or the agents' fence would reject it.
-        """
-        if self.decision_log is not None:
-            self.decision_log.log_shard_epoch(shard, epoch)
 
     # ------------------------------------------------------------------
     # Recovery: finishing in-doubt decisions from the decision log

@@ -63,8 +63,6 @@ from repro.core.coordinator import (
 if TYPE_CHECKING:
     from repro.durability.config import DurabilityConfig
 from repro.core.serial import SiteClock, make_sn_generator
-from repro.federation.leases import LeasedSN, SnAllocator, open_allocator
-from repro.federation.shard import FederationConfig, ShardMap
 from repro.history.model import History
 from repro.kernel.events import Event, EventKernel
 from repro.kernel.process import Process, Sleep
@@ -110,8 +108,6 @@ class SystemConfig:
     agent_overrides: Dict[str, AgentConfig] = field(default_factory=dict)
     dlu_policy: DLUPolicy = DLUPolicy.ABORT
     dlu_wait_timeout: Optional[float] = 200.0
-    #: ``clock`` (the paper's choice), ``counter`` or ``lamport``.
-    sn_source: str = "clock"
     #: Per-coordinator-site clock offsets (drift, experiment E9).
     clock_offsets: Dict[str, float] = field(default_factory=dict)
     clock_rates: Dict[str, float] = field(default_factory=dict)
@@ -149,12 +145,6 @@ class SystemConfig:
     #: with GIVEUP escalation, and per-site circuit breakers.  ``None``
     #: keeps the paper's unprotected behaviour — and the goldens.
     overload: Optional[OverloadConfig] = None
-    #: Opt into the sharded federation: BEGINs route by key hash to the
-    #: owning coordinator, SNs come from leased ranges instead of the
-    #: shared generator, and shards can be handed off live.  ``None``
-    #: (the default) keeps the single-SN-source behaviour — and the
-    #: goldens — even with ``n_coordinators > 1``.
-    federation: Optional[FederationConfig] = None
     #: Test-harness hook: build the transport yourself.  Called as
     #: ``factory(kernel, config)`` and must return a
     #: :class:`~repro.net.network.Network` (or subclass); overrides
@@ -246,12 +236,7 @@ class MultidatabaseSystem:
         self.guards: Dict[str, BoundDataGuard] = {}
         self.agents: Dict[str, TwoPCAgent] = {}
 
-        cert_config = CertifierConfig(
-            engine=config.certifier_engine,
-            # Overlapping lease grants would surface as two live entries
-            # sharing one SN — make that impossible to miss.
-            assert_unique_sns=config.federation is not None,
-        )
+        cert_config = CertifierConfig(engine=config.certifier_engine)
         static_denied = (
             frozenset(config.cgm_gu_tables)
             if config.method == "cgm"
@@ -299,7 +284,9 @@ class MultidatabaseSystem:
             self.ltms[site] = ltm
             self.agents[site] = agent
 
-        sn_source = "counter" if config.method == "ticket" else config.sn_source
+        # The paper's site clocks; ``ticket`` (S19) is the centralized
+        # counter it argues against.
+        sn_kind = "counter" if config.method == "ticket" else "clock"
         clocks = {}
         coordinator_sites = [
             f"c{i + 1}" for i in range(config.n_coordinators)
@@ -310,30 +297,7 @@ class MultidatabaseSystem:
                 offset=config.clock_offsets.get(coord_site, 0.0),
                 rate=config.clock_rates.get(coord_site, 0.0),
             )
-        self.sn_generator = make_sn_generator(sn_source, self.kernel, clocks)
-
-        #: Federation state (all ``None``/empty when not federated).
-        self.shard_map: Optional[ShardMap] = None
-        self.sn_allocator: Optional[SnAllocator] = None
-        self.handoffs = 0
-        self.forced_handoffs = 0
-        self.handoff_durations: List[float] = []
-        self.wrong_shard_forwarded = 0
-        if config.federation is not None:
-            self.shard_map = ShardMap.initial(
-                config.federation.n_shards, coordinator_sites
-            )
-            if config.durability is not None:
-                self.sn_allocator = open_allocator(
-                    config.durability,
-                    clock=lambda: self.kernel.now,
-                    span=config.federation.lease_span,
-                )
-            else:
-                self.sn_allocator = SnAllocator(
-                    clock=lambda: self.kernel.now,
-                    span=config.federation.lease_span,
-                )
+        self.sn_generator = make_sn_generator(sn_kind, self.kernel, clocks)
 
         scheduler: Optional[Scheduler] = None
         if config.method == "cgm":
@@ -367,20 +331,6 @@ class MultidatabaseSystem:
                     config.overload,
                     seed=config.seed ^ zlib.crc32(coord_site.encode()) ^ 0xAD51,
                 )
-            sn_generator = self.sn_generator
-            if self.shard_map is not None:
-                # Federated: each coordinator mints from its own leased
-                # ranges.  Every accepted lease is force-logged into the
-                # coordinator's decision log (when durable) before the
-                # first draw, so a restarted coordinator knows its
-                # consumed high-water mark.
-                sn_generator = LeasedSN(
-                    coord_site,
-                    request_lease=self._make_lease_request(
-                        coord_site, decision_log
-                    ),
-                    clock=lambda: self.kernel.now,
-                )
             self.coordinators.append(
                 Coordinator(
                     name=coord_site,
@@ -388,7 +338,7 @@ class MultidatabaseSystem:
                     kernel=self.kernel,
                     network=self.transport,
                     history=self.history,
-                    sn_generator=sn_generator,
+                    sn_generator=self.sn_generator,
                     sn_at_begin=(config.method == "ticket"),
                     scheduler=scheduler,
                     timeouts=config.coordinator_timeouts,
@@ -396,7 +346,6 @@ class MultidatabaseSystem:
                     overload=config.overload,
                     admission=admission,
                     breakers=self.breakers,
-                    shard_map=self.shard_map,
                 )
             )
         # GC watermark plumbing: a sealed global END record means every
@@ -436,9 +385,6 @@ class MultidatabaseSystem:
 
         self._next_coordinator = 0
         self._local_counter = 0
-        self._coordinator_index = {
-            c.name: i for i, c in enumerate(self.coordinators)
-        }
         # Imported here: repro.ablations imports repro.core.agent, whose
         # package imports this module.
         from repro.ablations import ABLATIONS
@@ -446,15 +392,6 @@ class MultidatabaseSystem:
         ablation = ABLATIONS.get("naive" if config.method == "cgm" else config.method)
         if ablation is not None:
             ablation.apply(self)
-
-    def _make_lease_request(self, name: str, decision_log):
-        def request():
-            lease = self.sn_allocator.grant(name)
-            if decision_log is not None:
-                decision_log.log_lease(lease.lo, lease.hi)
-            return lease
-
-        return request
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -523,8 +460,6 @@ class MultidatabaseSystem:
         for coordinator in self.coordinators:
             if coordinator.decision_log is not None:
                 coordinator.decision_log.close()
-        if self.sn_allocator is not None:
-            self.sn_allocator.close()
 
     # ------------------------------------------------------------------
     # Submission
@@ -533,48 +468,18 @@ class MultidatabaseSystem:
     def submit(
         self, spec: GlobalTransactionSpec, coordinator: Optional[int] = None
     ) -> Event:
-        """Submit a global transaction.
-
-        Unfederated: round-robin over coordinators (the historical
-        behaviour).  Federated: routed to the owner of the
-        transaction's shard; a WRONG_SHARD refusal (lost a race with a
-        concurrent handoff) is forwarded to the redirect hint a bounded
-        number of times.  An explicit ``coordinator`` index always goes
-        straight there, un-forwarded — tests use it to observe raw
-        refusals.
-        """
+        """Submit a global transaction: round-robin over the
+        coordinators, or straight to the ``coordinator`` index given."""
         for site, _command in spec.steps:
             if site not in self.ltms:
                 raise ConfigError(f"{spec.txn} references unknown site {site!r}")
         if coordinator is not None:
             return self.coordinators[coordinator].submit(spec)
-        if self.shard_map is not None:
-            return Process(
-                self.kernel,
-                self._submit_routed(spec),
-                name=f"route:{spec.txn}",
-            ).completion
         coordinator = self._next_coordinator
         self._next_coordinator = (
             self._next_coordinator + 1
         ) % len(self.coordinators)
         return self.coordinators[coordinator].submit(spec)
-
-    def _submit_routed(self, spec: GlobalTransactionSpec):
-        target = self.shard_map.owner_of(spec.txn)
-        for _hop in range(4):
-            index = self._coordinator_index[target]
-            outcome = yield self.coordinators[index].submit(spec)
-            if (
-                outcome.committed
-                or outcome.reason is not RefusalReason.WRONG_SHARD
-                or outcome.redirect is None
-                or outcome.redirect == target
-            ):
-                return outcome
-            self.wrong_shard_forwarded += 1
-            target = outcome.redirect
-        return outcome
 
     def submit_program(
         self,
@@ -634,75 +539,6 @@ class MultidatabaseSystem:
             return outcome
 
         return Process(self.kernel, body(), name=f"local:{txn}").completion
-
-    # ------------------------------------------------------------------
-    # Federation: live shard handoff
-    # ------------------------------------------------------------------
-
-    #: Drain-poll period during a handoff (simulated seconds).
-    HANDOFF_POLL = 0.25
-
-    def handoff(self, shard: int, to: str) -> Event:
-        """Migrate ownership of ``shard`` to coordinator ``to``, live.
-
-        Three phases, run as a kernel process while traffic flows:
-
-        1. **Drain** — the current owner stops accepting new globals for
-           the shard (refusing with WRONG_SHARD + a redirect to ``to``)
-           and its in-flight ones are awaited, bounded by
-           ``FederationConfig.drain_timeout``;
-        2. **Epoch bump** — the shared map reassigns the shard and bumps
-           its epoch; the new owner force-logs the adoption;
-        3. **Release** — the old owner drops its drain mark.
-
-        A drain that times out is *forced*: the epoch fence makes it
-        safe (any BEGIN the deposed owner still emits is rejected by
-        agents that saw the new epoch), at worst costing those stragglers
-        an abort.  Yields a summary dict.
-        """
-        if self.shard_map is None:
-            raise ConfigError("handoff requires a federated system")
-        if to not in self._coordinator_index:
-            raise ConfigError(f"unknown coordinator {to!r}")
-        source_name = self.shard_map.owner(shard)
-        source = self.coordinators[self._coordinator_index[source_name]]
-        target = self.coordinators[self._coordinator_index[to]]
-
-        def body():
-            started = self.kernel.now
-            forced = False
-            if source_name != to:
-                source.begin_drain(shard, successor=to)
-                deadline = (
-                    self.kernel.now + self.config.federation.drain_timeout
-                )
-                while source.shard_inflight(shard) > 0:
-                    if self.kernel.now >= deadline:
-                        forced = True
-                        break
-                    yield Sleep(self.HANDOFF_POLL)
-                epoch = self.shard_map.reassign(shard, to)
-                target.adopt_shard(shard, epoch)
-                source.end_drain(shard)
-            else:
-                epoch = self.shard_map.epoch(shard)
-            duration = self.kernel.now - started
-            self.handoffs += 1
-            if forced:
-                self.forced_handoffs += 1
-            self.handoff_durations.append(duration)
-            return {
-                "shard": shard,
-                "from": source_name,
-                "to": to,
-                "epoch": epoch,
-                "forced": forced,
-                "duration": duration,
-            }
-
-        return Process(
-            self.kernel, body(), name=f"handoff:{shard}->{to}"
-        ).completion
 
     # ------------------------------------------------------------------
     # Running

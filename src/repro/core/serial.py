@@ -14,9 +14,9 @@ drift explicitly so experiment E9 can sweep it:
 
     reading(site) = (1 + rate) * simulated_time + offset
 
-Alternative generators (a centralized counter and a Lamport-style
-logical clock, both mentioned by the paper as "cumbersome ... in an
-autonomous environment") are provided for the ablation benchmarks.
+The one alternative, a centralized counter (the paper calls such
+sources "cumbersome ... in an autonomous environment"), serves the
+``ticket`` baseline.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class SNGenerator:
 
     def generate(self, site: str) -> SerialNumber:  # pragma: no cover
         raise NotImplementedError
-
-    def witness(self, site: str, sn: SerialNumber) -> None:
-        """Observe a foreign SN (only meaningful for logical clocks)."""
 
 
 class RealTimeClockSN(SNGenerator):
@@ -87,37 +84,14 @@ class CentralCounterSN(SNGenerator):
         return SerialNumber(clock=float(next(self._counter)), site="central", seq=0)
 
 
-class LamportSN(SNGenerator):
-    """A distributed logical clock, max-merged on witnessed SNs.
-
-    Coordinators call :meth:`witness` for every SN that reaches them
-    (e.g. riding on 2PC responses), so causally later commits always get
-    bigger numbers; concurrent commits are ordered by site id.
-    """
-
-    def __init__(self) -> None:
-        self._clocks: Dict[str, int] = {}
-
-    def generate(self, site: str) -> SerialNumber:
-        value = self._clocks.get(site, 0) + 1
-        self._clocks[site] = value
-        return SerialNumber(clock=float(value), site=site, seq=0)
-
-    def witness(self, site: str, sn: SerialNumber) -> None:
-        current = self._clocks.get(site, 0)
-        self._clocks[site] = max(current, int(sn.clock))
-
-
 def make_sn_generator(
     kind: str,
     kernel: EventKernel,
     clocks: Optional[Dict[str, SiteClock]] = None,
 ) -> SNGenerator:
-    """Factory used by the system builder (``clock``/``counter``/``lamport``)."""
+    """Factory used by the system builder (``clock``/``counter``)."""
     if kind == "clock":
         return RealTimeClockSN(kernel, clocks or {})
     if kind == "counter":
         return CentralCounterSN()
-    if kind == "lamport":
-        return LamportSN()
     raise ConfigError(f"unknown SN generator kind {kind!r}")

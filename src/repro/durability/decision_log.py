@@ -12,6 +12,11 @@ makes the entry compactable.
 transactions a recovering (or adopting) coordinator must re-drive to
 completion via :meth:`Coordinator.resume_in_doubt
 <repro.core.coordinator.Coordinator.resume_in_doubt>`.
+
+``sn_high_water`` is the largest SN any DECISION record ever carried,
+kept across checkpoints.  A restarted coordinator floors its site clock
+strictly above it, so its SNs never fall behind a commit its previous
+incarnation already sealed at some certifier.
 """
 
 from __future__ import annotations
@@ -53,14 +58,8 @@ class DurableDecisionLog:
         self.force_writes = 0
         self._ends_since_checkpoint = 0
         self._compact_min = 64
-        #: Federation: first SN value above every lease this coordinator
-        #: ever held (0 = never leased).  A recovered coordinator must
-        #: not mint from a range it may already have consumed, so it
-        #: discards any replayed lease below this mark.
-        self.lease_high_water = 0
-        #: Federation: highest ownership epoch this coordinator logged
-        #: per shard (only while it owned the shard).
-        self._shard_epochs: Dict[int, int] = {}
+        #: Largest SN of any decision ever logged (``None``: none yet).
+        self.sn_high_water: Optional[SerialNumber] = None
 
     @classmethod
     def open_name(cls, name: str, config: DurabilityConfig) -> "DurableDecisionLog":
@@ -82,6 +81,7 @@ class DurableDecisionLog:
     def log_decision(self, decision: Decision) -> None:
         """Force-write the outcome; after this returns, it is sealed."""
         self._decisions[decision.txn] = decision
+        self._note_sn(decision.sn)
         self.wal.append(
             RecordKind.DECISION,
             {
@@ -105,34 +105,11 @@ class DurableDecisionLog:
         if self._ends_since_checkpoint >= self._compact_min:
             self.checkpoint()
 
-    def log_lease(self, lo: int, hi: int) -> None:
-        """Force-record a lease this coordinator accepted.
-
-        Forced *before* the first draw: once any SN from ``[lo, hi)``
-        can reach a certifier, a post-crash incarnation must skip the
-        whole range.
-        """
-        self.lease_high_water = max(self.lease_high_water, hi)
-        self.wal.append(
-            RecordKind.LEASE,
-            {"lo": lo, "hi": hi, "owner": self.name},
-            force=True,
-        )
-        self.force_writes += 1
-
-    def log_shard_epoch(self, shard: int, epoch: int) -> None:
-        """Force-record taking ownership of ``shard`` at ``epoch``."""
-        self._shard_epochs[shard] = max(self._shard_epochs.get(shard, 0), epoch)
-        self.wal.append(
-            RecordKind.SHARD_EPOCH,
-            {"shard": shard, "epoch": epoch, "owner": self.name},
-            force=True,
-        )
-        self.force_writes += 1
-
-    def shard_epochs(self) -> Dict[int, int]:
-        """Highest logged ownership epoch per shard."""
-        return dict(self._shard_epochs)
+    def _note_sn(self, sn: Optional[SerialNumber]) -> None:
+        if sn is not None and (
+            self.sn_high_water is None or sn > self.sn_high_water
+        ):
+            self.sn_high_water = sn
 
     def close(self) -> None:
         self.wal.close()
@@ -158,6 +135,8 @@ class DurableDecisionLog:
     # ------------------------------------------------------------------
 
     def _replay(self, records: List[WalRecord]) -> None:
+        # Retired record kinds and unknown checkpoint keys fall through:
+        # old logs replay to exactly their decisions.
         for record in records:
             body = record.body
             if record.kind is RecordKind.CHECKPOINT:
@@ -169,26 +148,12 @@ class DurableDecisionLog:
                         self._ended[decision.txn] = decision
                     else:
                         self._decisions[decision.txn] = decision
-                self.lease_high_water = max(
-                    self.lease_high_water, body.get("lease_high_water", 0)
-                )
-                for shard, epoch in body.get("shard_epochs", {}).items():
-                    shard = int(shard)
-                    self._shard_epochs[shard] = max(
-                        self._shard_epochs.get(shard, 0), int(epoch)
-                    )
-            elif record.kind is RecordKind.LEASE:
-                self.lease_high_water = max(
-                    self.lease_high_water, int(body["hi"])
-                )
-            elif record.kind is RecordKind.SHARD_EPOCH:
-                shard = int(body["shard"])
-                self._shard_epochs[shard] = max(
-                    self._shard_epochs.get(shard, 0), int(body["epoch"])
-                )
+                    self._note_sn(decision.sn)
+                self._note_sn(body.get("sn_high_water"))
             elif record.kind is RecordKind.DECISION:
                 decision = _decision_from_body(body)
                 self._decisions[decision.txn] = decision
+                self._note_sn(decision.sn)
             elif record.kind is RecordKind.END:
                 decision = self._decisions.pop(body["txn"], None)
                 if decision is not None:
@@ -209,8 +174,7 @@ class DurableDecisionLog:
                 }
                 for d in self.in_doubt()
             ],
-            "lease_high_water": self.lease_high_water,
-            "shard_epochs": dict(self._shard_epochs),
+            "sn_high_water": self.sn_high_water,
         }
 
     def checkpoint(self) -> None:

@@ -67,9 +67,11 @@ class RecordKind(enum.IntEnum):
     """What one WAL record describes.
 
     Agent-log kinds mirror the in-memory
-    :class:`~repro.core.agent_log.AgentLog` transitions; the last two
-    serve the Coordinator's decision log.  Values are part of the
-    on-disk format — never renumber, only append.
+    :class:`~repro.core.agent_log.AgentLog` transitions; DECISION and
+    END serve the Coordinator's decision log.  Values are part of the
+    on-disk format — never renumber, only append.  Retired kinds stay
+    decodable (an unknown kind reads as corruption and would truncate
+    the log there) and are never reused; replay skips them.
     """
 
     OPEN = 1          #: agent log entry opened (txn, coordinator)
@@ -82,8 +84,8 @@ class RecordKind(enum.IntEnum):
     CHECKPOINT = 8    #: full live-state snapshot (compaction boundary)
     DECISION = 9      #: coordinator decision record (commit/abort)
     END = 10          #: coordinator finished a decided transaction
-    LEASE = 11        #: SN-range lease granted/consumed ([lo, hi) + owner)
-    SHARD_EPOCH = 12  #: shard ownership change (shard, epoch, owner)
+    RETIRED_LEASE = 11        #: retired: a granted SN range ([lo, hi) + owner)
+    RETIRED_SHARD_EPOCH = 12  #: retired: a key-range ownership change (epoch + owner)
 
 
 @dataclass(frozen=True)

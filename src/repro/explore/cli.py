@@ -206,7 +206,7 @@ def add_explore_parser(subparsers) -> None:
         "--coordinators",
         type=int,
         default=1,
-        help="federation fan-out (n_coordinators)",
+        help="coordinator fan-out (n_coordinators)",
     )
     parser.add_argument(
         "--matrix",

@@ -47,7 +47,7 @@ class ExploreSpec:
     n_global: int = 6
     n_local: int = 2
     #: Config matrix dimensions (certifier engine × durability ×
-    #: federation fan-out).
+    #: coordinator fan-out).
     certifier_engine: str = "naive"
     durability: bool = False
     n_coordinators: int = 1
@@ -304,7 +304,7 @@ def run_once(spec: ExploreSpec, chooser) -> RunResult:
 
 
 def matrix(base: ExploreSpec) -> List[ExploreSpec]:
-    """The config matrix: certifier engine × durability × federation."""
+    """The config matrix: certifier engine × durability × coordinator fan-out."""
     specs = []
     for engine in ("naive", "indexed"):
         for durability in (False, True):

@@ -85,12 +85,6 @@ class Message:
     on BEGIN/COMMAND/PREPARE when the overload layer is on, so agents
     can abort expired work instead of preparing it; ``None`` (the
     default, and always when the overload layer is off) means no bound.
-
-    ``shard``/``shard_epoch`` are the federation fence: a sharded
-    coordinator stamps its BEGINs with the shard it believes it owns and
-    the ShardMap epoch under which it owns it, so agents can reject
-    BEGINs from a deposed owner after a handoff.  Both are ``None``
-    (and never consulted) outside federated runs.
     """
 
     type: MsgType
@@ -103,8 +97,6 @@ class Message:
     seq: int = field(default_factory=lambda: next(_msg_seq))
     session: Optional[Tuple[int, int]] = None
     deadline: Optional[float] = None
-    shard: Optional[int] = None
-    shard_epoch: Optional[int] = None
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         extra = ""

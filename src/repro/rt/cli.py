@@ -1,7 +1,7 @@
 """``serve`` / ``storm`` subcommands for ``python -m repro``.
 
 ``serve agent|coordinator`` run one protocol process over asyncio TCP;
-``serve cluster`` launches and supervises 1 coordinator + N agents;
+``serve cluster`` launches and supervises M coordinators + N agents;
 ``storm`` drives the live cluster with the debit-credit workload (and
 optionally a SIGKILL at an exact protocol point) and verifies the
 invariant battery afterwards. See docs/DEPLOY.md.
@@ -73,52 +73,22 @@ def add_rt_parsers(subparsers) -> None:
         "coordinator", help="serve one Coordinating Site"
     )
     coordinator.add_argument("--name", default="c1")
-    coordinator.add_argument(
-        "--federation-json",
-        default=None,
-        help="federation config as JSON (n_shards, lease_span, "
-        "drain_timeout, coordinators); cluster launcher use",
-    )
     _add_common_node_args(coordinator)
     coordinator.set_defaults(run=_run_coordinator)
-
-    allocator = roles.add_parser(
-        "allocator", help="serve the federation's SN-lease allocator"
-    )
-    allocator.add_argument("--name", default="alloc")
-    allocator.add_argument(
-        "--lease-span",
-        type=int,
-        default=64,
-        help="default SN values per lease grant",
-    )
-    _add_common_node_args(allocator)
-    allocator.set_defaults(run=_run_allocator)
 
     cluster = roles.add_parser(
         "cluster", help="launch + supervise coordinators + N agents"
     )
-    cluster.add_argument("--name", default="c1", help="coordinator name")
+    cluster.add_argument(
+        "--name", default="c1", help="coordinator name (one coordinator)"
+    )
     cluster.add_argument(
         "--coordinators",
         type=int,
-        default=0,
+        default=1,
         metavar="M",
-        help="federated mode: spawn M coordinators (c1..cM) + one "
-        "SN-lease allocator and shard the keyspace across them "
-        "(0 = classic single-coordinator layout)",
-    )
-    cluster.add_argument(
-        "--n-shards", type=int, default=8, help="hash buckets (federated)"
-    )
-    cluster.add_argument(
-        "--lease-span", type=int, default=64, help="SNs per lease grant"
-    )
-    cluster.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=5.0,
-        help="handoff: max seconds to drain a shard before forcing",
+        help="spawn M coordinators c1..cM, each drawing SNs from its "
+        "own site clock (default 1, named --name)",
     )
     cluster.add_argument(
         "--nemesis",
@@ -202,36 +172,12 @@ def add_rt_parsers(subparsers) -> None:
         help="send quit to all processes after the run (attached mode)",
     )
     storm.add_argument(
-        "--federated",
-        action="store_true",
-        help="with --launch: start a sharded multi-coordinator cluster "
-        "(see --coordinators) and route submissions by shard",
-    )
-    storm.add_argument(
         "--coordinators",
         type=int,
-        default=3,
+        default=1,
         metavar="M",
-        help="coordinator count for --federated --launch (default 3)",
-    )
-    storm.add_argument(
-        "--n-shards", type=int, default=8, help="hash buckets (federated)"
-    )
-    storm.add_argument(
-        "--lease-span", type=int, default=64, help="SNs per lease grant"
-    )
-    storm.add_argument(
-        "--handoff",
-        action="store_true",
-        help="federated: migrate one shard between two live "
-        "coordinators mid-run (drain -> epoch bump -> adopt)",
-    )
-    storm.add_argument(
-        "--kill-during-handoff",
-        choices=("none", "source", "target"),
-        default="none",
-        help="SIGKILL the handoff's source or target coordinator "
-        "mid-migration (implies --handoff)",
+        help="with --launch: start M coordinators c1..cM; submissions "
+        "go round-robin by transaction number (default 1)",
     )
     storm.set_defaults(run=_run_storm)
 
@@ -287,12 +233,6 @@ def _run_coordinator(args) -> int:
     from repro.rt.node import run_serve_coordinator
 
     return run_serve_coordinator(args)
-
-
-def _run_allocator(args) -> int:
-    from repro.rt.node import run_serve_allocator
-
-    return run_serve_allocator(args)
 
 
 def _run_cluster(args) -> int:

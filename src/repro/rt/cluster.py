@@ -1,11 +1,10 @@
 """Cluster launcher/supervisor: coordinators + agents as subprocesses.
 
 ``python -m repro serve cluster`` spawns one coordinator and N agents
-by default; ``--coordinators M`` switches on the sharded federation —
-M coordinator processes, plus one SN-lease allocator process, with the
-shard map and full coordinator route table in ``cluster.json``
-(see docs/FEDERATION.md).  Each role is its own OS
-process (``python -m repro serve coordinator|agent|allocator``) listening on an
+by default; ``--coordinators M`` spawns M coordinators c1..cM, each the
+paper's coordinator with its own site-clock SNs, listed under
+``coordinators`` in ``cluster.json``.  Each role is its own OS
+process (``python -m repro serve coordinator|agent``) listening on an
 ephemeral port (``--listen 127.0.0.1:0``), blocks on each child's JSON
 readiness line (no sleep-polling, no port collisions), distributes the
 full route table to every child over a control frame, writes
@@ -44,7 +43,7 @@ import signal
 import sys
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.durability.segments import atomic_write
 from repro.rt.codec import FRAME_CONTROL, encode_frame
@@ -52,7 +51,6 @@ from repro.rt.nemesis import NemesisProxy, link_key
 from repro.rt.node import (
     agent_address,
     agent_control,
-    allocator_control,
     coordinator_address,
     coordinator_control,
 )
@@ -83,8 +81,8 @@ class _Child:
     """One supervised subprocess and its last known coordinates."""
 
     def __init__(self, role: str, name: str) -> None:
-        self.role = role  # "coordinator" | "agent" | "allocator"
-        self.name = name  # coordinator name, site, or allocator name
+        self.role = role  # "coordinator" | "agent"
+        self.name = name  # coordinator name or site
         self.proc: Optional[asyncio.subprocess.Process] = None
         self.host: Optional[str] = None
         self.port: int = 0
@@ -103,41 +101,29 @@ class _Child:
 
     @property
     def process_name(self) -> str:
-        prefix = {
-            "coordinator": "coord",
-            "agent": "agent",
-            "allocator": "alloc",
-        }[self.role]
+        prefix = "coord" if self.role == "coordinator" else "agent"
         return f"{prefix}-{self.name}"
 
     @property
     def control_address(self) -> str:
         if self.role == "coordinator":
             return coordinator_control(self.name)
-        if self.role == "allocator":
-            return allocator_control()
         return agent_control(self.name)
 
     @property
     def addresses(self) -> List[str]:
         if self.role == "coordinator":
             return [coordinator_address(self.name), self.control_address]
-        if self.role == "allocator":
-            return [self.control_address]
         return [agent_address(self.name), self.control_address]
 
 
 class ClusterSupervisor:
     """Spawn, introduce, and keep alive M coordinators + N agents.
 
-    ``federation`` (a dict with ``n_shards`` / ``lease_span`` /
-    ``drain_timeout``) turns on the sharded multi-coordinator mode:
-    every name in ``coordinators`` becomes its own coordinator process,
-    one extra :class:`~repro.rt.node.AllocatorNode` child serves the
-    SN-lease authority, and ``cluster.json`` gains a ``"federation"``
-    section (shard map, coordinator route table, allocator coordinates)
-    that the storm client's router consumes.  Without it the layout is
-    the original 1-coordinator cluster, byte-compatible.
+    Every name in ``coordinators`` (default: just ``coordinator``)
+    becomes its own coordinator process; any of them may run any global
+    transaction, and the per-site certifiers alone keep the commit
+    order consistent.
     """
 
     def __init__(
@@ -146,7 +132,6 @@ class ClusterSupervisor:
         *,
         coordinator: str = "c1",
         coordinators: Optional[List[str]] = None,
-        federation: Optional[dict] = None,
         bank: Optional[BankConfig] = None,
         tuning: Optional[RtTuning] = None,
         json_mode: bool = False,
@@ -158,15 +143,10 @@ class ClusterSupervisor:
         self.tuning = tuning if tuning is not None else RtTuning()
         self.json_mode = json_mode
         self.coordinator_names = list(coordinators) if coordinators else [coordinator]
-        self.federation = dict(federation) if federation is not None else None
-        if self.federation is not None:
-            self.federation["coordinators"] = list(self.coordinator_names)
         self.children: List[_Child] = [
             _Child("coordinator", name) for name in self.coordinator_names
         ]
         self.children.extend(_Child("agent", site) for site in self.bank.sites)
-        if self.federation is not None:
-            self.children.append(_Child("allocator", "alloc"))
         self.stop = asyncio.Event()
         self.shutting_down = False
         self.restarts = 0
@@ -203,17 +183,8 @@ class ClusterSupervisor:
                 "--balance",
                 str(self.bank.initial_account_balance),
             ]
-        elif child.role == "allocator":
-            argv += ["allocator", "--name", child.name]
-            if self.federation is not None:
-                argv += ["--lease-span", str(self.federation.get("lease_span", 64))]
         else:
             argv += ["coordinator", "--name", child.name]
-            if self.federation is not None:
-                argv += [
-                    "--federation-json",
-                    json.dumps(self.federation, sort_keys=True),
-                ]
         argv += [
             "--data-root",
             self.data_root,
@@ -370,10 +341,9 @@ class ClusterSupervisor:
 
         coordinators = [c for c in self.children if c.role == "coordinator"]
         agents = [c for c in self.children if c.role == "agent"]
-        allocators = [c for c in self.children if c.role == "allocator"]
         info = {
-            # Singular "coordinator" (the first one) stays for pre-
-            # federation clients; "coordinators" is the full route table.
+            # Singular "coordinator" (the first one) stays for single-
+            # coordinator clients; "coordinators" is the full route table.
             "coordinator": entry(coordinators[0]),
             "coordinators": [entry(c) for c in coordinators],
             "agents": [
@@ -392,23 +362,6 @@ class ClusterSupervisor:
             "data_root": self.data_root,
             "max_restarts": self.max_restarts,
         }
-        if self.federation is not None:
-            from repro.federation.shard import ShardMap
-
-            info["federation"] = {
-                "n_shards": int(self.federation["n_shards"]),
-                "lease_span": int(self.federation.get("lease_span", 64)),
-                "drain_timeout": float(self.federation.get("drain_timeout", 5.0)),
-                "coordinators": list(self.coordinator_names),
-                # The *initial* assignment (deterministic round-robin).
-                # Live handoffs are pushed to the coordinators directly;
-                # a client attaching later starts here and follows
-                # WRONG_SHARD redirects to the current owner.
-                "shard_map": ShardMap.initial(
-                    int(self.federation["n_shards"]), self.coordinator_names
-                ).to_dict(),
-                "allocator": entry(allocators[0]) if allocators else None,
-            }
         if self.nemesis is not None:
             info["nemesis"] = self.nemesis.describe()
         path = os.path.join(self.data_root, "cluster.json")
@@ -561,12 +514,6 @@ class ClusterSupervisor:
             },
             "pid": os.getpid(),
         }
-        if self.federation is not None:
-            alloc = next(
-                (c for c in self.children if c.role == "allocator"), None
-            )
-            if alloc is not None:
-                ready["allocator"] = f"{alloc.host}:{alloc.port}"
         if self.nemesis is not None:
             control = self.nemesis.control_bound
             ready["nemesis"] = f"{control[0]}:{control[1]}"
@@ -616,21 +563,16 @@ def run_serve_cluster(args) -> int:
     tuning = RtTuning()
     if getattr(args, "tuning_json", None):
         tuning = RtTuning.from_dict(json.loads(args.tuning_json))
-    coordinators = None
-    federation = None
-    n_coordinators = getattr(args, "coordinators", 0) or 0
-    if n_coordinators >= 1:
-        coordinators = [f"c{i + 1}" for i in range(n_coordinators)]
-        federation = {
-            "n_shards": getattr(args, "n_shards", 8),
-            "lease_span": getattr(args, "lease_span", 64),
-            "drain_timeout": getattr(args, "drain_timeout", 5.0),
-        }
+    n_coordinators = getattr(args, "coordinators", 1)
+    coordinators = (
+        [f"c{i + 1}" for i in range(n_coordinators)]
+        if n_coordinators > 1
+        else None
+    )
     supervisor = ClusterSupervisor(
         args.data_root,
         coordinator=args.name,
         coordinators=coordinators,
-        federation=federation,
         bank=bank,
         tuning=tuning,
         json_mode=args.json,

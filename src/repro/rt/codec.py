@@ -164,8 +164,6 @@ def message_body(message: Message) -> dict:
         "seq": message.seq,
         "session": message.session,
         "deadline": message.deadline,
-        "shard": message.shard,
-        "shard_epoch": message.shard_epoch,
     }
 
 
@@ -184,8 +182,6 @@ def message_from_body(body: dict) -> Message:
         seq=body["seq"],
         session=tuple(session) if session is not None else None,
         deadline=body.get("deadline"),
-        shard=body.get("shard"),
-        shard_epoch=body.get("shard_epoch"),
     )
 
 

@@ -13,9 +13,9 @@ recovery log:
   ``agent.crash()`` + ``agent.recover(log)`` — the same code path the
   simulator's crash matrix exercises — once the launcher delivers the
   route table;
-- a coordinator opens ``DurableDecisionLog`` and calls
-  ``resume_in_doubt()`` when its routes arrive, re-driving logged
-  decisions whose acks are missing.
+- a coordinator opens ``DurableDecisionLog``, floors its SN clock
+  above the log's SN high-water, and calls ``resume_in_doubt()`` when
+  its routes arrive, re-driving logged decisions whose acks are missing.
 
 Readiness handshake: after the listener is bound (port 0 welcome) the
 process prints exactly one status line on stdout — a JSON object under
@@ -34,23 +34,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.common.ids import SubtxnId
+from repro.common.ids import SerialNumber, SubtxnId
 from repro.core.agent import CRASH_POINTS, TwoPCAgent
 from repro.core.certifier import Certifier, CertifierConfig
 from repro.core.coordinator import COORDINATOR_KILL_POINTS, Coordinator
 from repro.core.serial import SiteClock, make_sn_generator
 from repro.durability.agent_log import DurableAgentLog
 from repro.durability.decision_log import DurableDecisionLog
-from repro.federation.leases import Lease, LeasedSN, open_allocator
-from repro.federation.shard import ShardMap
 from repro.durability.segments import DiskFault
 from repro.history.model import History
+from repro.kernel.events import EventKernel
 from repro.ldbs.dlu import BoundDataGuard, DLUPolicy
 from repro.ldbs.ltm import LocalTransactionManager, TxnState
 from repro.rt.host import ProtocolHost
@@ -91,11 +91,6 @@ def coordinator_control(name: str) -> str:
     return f"ctl:coord:{name}"
 
 
-def allocator_control() -> str:
-    """The (single) SN-lease allocator's control address."""
-    return "ctl:alloc"
-
-
 def resolve_kill_point(at: str) -> str:
     point = KILL_POINT_ALIASES.get(at, at)
     if point not in CRASH_POINTS:
@@ -111,6 +106,26 @@ def resolve_coordinator_kill_point(at: str) -> str:
             f"(choose from {sorted(COORDINATOR_KILL_POINTS)})"
         )
     return at
+
+
+def coordinator_clock(
+    name: str,
+    kernel: EventKernel,
+    high_water: Optional[SerialNumber],
+    wall: float,
+) -> SiteClock:
+    """One coordinator incarnation's SN clock.
+
+    It reads ``wall`` (the wall clock at boot) plus the kernel's time
+    since, so coordinators on different processes draw comparable SNs.
+    It never reads at or below ``high_water``, the decision log's
+    largest SN: a respawn stays above every commit its predecessor
+    sealed, even after the wall clock stepped back.
+    """
+    offset = wall - kernel.now
+    if high_water is not None:
+        offset = max(offset, math.nextafter(high_water.clock, math.inf))
+    return SiteClock(name, offset=offset)
 
 
 def fail_stop_on_disk_fault(exc: BaseException) -> None:
@@ -349,7 +364,6 @@ class AgentNode(_NodeBase):
             # bank invariants are not yet meaningful (verifiers poll this
             # down to zero before checking totals).
             "open_txns": self.agent.open_txn_count(),
-            "fenced_begins": self.agent.fenced_begins,
             "tables": {
                 table: sum(self.ltm.store.snapshot(table).values())
                 for table in ("accounts", "tellers", "branch")
@@ -384,62 +398,24 @@ class AgentNode(_NodeBase):
 class CoordinatorNode(_NodeBase):
     """One Coordinating Site, decision-logged and resumable.
 
-    With ``federation`` (the cluster's shared federation config, as a
-    dict), this coordinator owns a subset of the shard map, mints SNs
-    from leased ranges prefetched off the allocator node, refuses
-    wrong-shard BEGINs with a redirect hint, and answers the handoff
-    control ops (``handoff-out`` / ``handoff-in`` / ``shard-map``).
+    Its SNs are the paper's site-clock readings extended with its name,
+    from :func:`coordinator_clock`; any number of these may run side by
+    side.
     """
 
     role = "coordinator"
 
-    #: Drain-poll period while a ``handoff-out`` waits for the shard's
-    #: in-flight globals (wall seconds).
-    DRAIN_POLL = 0.1
-    #: Federation housekeeping tick: lease prefetch checks.
-    PREFETCH_TICK = 0.5
-    #: Re-request a lease if no grant arrived within this long (the
-    #: allocator may have been down; fallback draws covered the gap).
-    LEASE_RETRY = 2.0
-
-    def __init__(
-        self,
-        name: str,
-        data_root: str,
-        tuning: RtTuning,
-        federation: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, name: str, data_root: str, tuning: RtTuning) -> None:
         super().__init__(f"coord-{name}", data_root, tuning)
         self.coord_name = name
-        self.federation = federation
         self.decision_log = DurableDecisionLog.open_name(
             name, tuning.durability_config(data_root, owner=name)
         )
         self.in_doubt_at_boot = len(self.decision_log.in_doubt())
-        self.shard_map: Optional[ShardMap] = None
-        self.leased: Optional[LeasedSN] = None
-        if federation is not None:
-            # Every coordinator derives the same initial assignment from
-            # the shared federation config; handoffs arrive later as
-            # control-frame pushes, and SHARD_EPOCH replay restores a
-            # respawned adopter's ownership before any traffic lands.
-            self.shard_map = ShardMap.initial(
-                int(federation["n_shards"]),
-                [str(c) for c in federation["coordinators"]],
-            )
-            for shard, epoch in self.decision_log.shard_epochs().items():
-                self.shard_map.adopt(shard, name, epoch)
-            self.leased = LeasedSN(name, clock=time.time)
-            # A restarted coordinator must never mint below ranges a
-            # previous incarnation held: even fallback draws skip past
-            # the logged lease high-water.
-            self.leased.seed_floor(float(self.decision_log.lease_high_water))
-            self.sn_generator = self.leased
-        else:
-            clock = SiteClock(name)
-            self.sn_generator = make_sn_generator(
-                "clock", self.kernel, {name: clock}
-            )
+        clock = coordinator_clock(
+            name, self.kernel, self.decision_log.sn_high_water, time.time()
+        )
+        self.sn_generator = make_sn_generator("clock", self.kernel, {name: clock})
         self.coordinator = Coordinator(
             name=name,
             site=name,
@@ -449,17 +425,7 @@ class CoordinatorNode(_NodeBase):
             sn_generator=self.sn_generator,
             timeouts=tuning.coordinator_timeouts(),
             decision_log=self.decision_log,
-            shard_map=self.shard_map,
         )
-        self.lease_span = int(federation["lease_span"]) if federation else 0
-        self.drain_timeout = (
-            float(federation.get("drain_timeout", 5.0)) if federation else 5.0
-        )
-        self._lease_request_at: Optional[float] = None
-        self.lease_requests = 0
-        self.lease_grants_received = 0
-        self.handoffs_out = 0
-        self.handoffs_in = 0
         self.resumed_at_boot = 0
         self._pending_submits: List[dict] = []
         self.submitted = 0
@@ -467,8 +433,6 @@ class CoordinatorNode(_NodeBase):
         self.host.wire.register_control(
             coordinator_control(name), self._on_control
         )
-        if federation is not None:
-            self._arm_federation_tick()
 
     def status(self, bound) -> dict:
         status = super().status(bound)
@@ -483,24 +447,10 @@ class CoordinatorNode(_NodeBase):
             # Now that agents are reachable, re-drive logged decisions
             # whose acks never landed.
             self.resumed_at_boot += self.coordinator.resume_in_doubt()
-            self._maybe_prefetch()
             pending, self._pending_submits = self._pending_submits, []
             for queued in pending:
                 self._submit(queued)
             self.reply_to(body, {"op": "routes-ok"})
-        elif op == "lease":
-            self._on_lease(body)
-        elif op == "handoff-out":
-            self._handoff_out(body)
-        elif op == "handoff-in":
-            self._handoff_in(body)
-        elif op == "shard-map":
-            self._install_shard_map(body)
-        elif op == "die":
-            # Drill hook: a deterministic SIGKILL from the orchestrator
-            # (mid-handoff coordinator loss), same effect as arm-kill
-            # but not tied to a protocol point.
-            os.kill(os.getpid(), signal.SIGKILL)
         elif op == "arm-kill":
             point = resolve_coordinator_kill_point(
                 body.get("at", "decision_logged")
@@ -544,121 +494,6 @@ class CoordinatorNode(_NodeBase):
 
         self.coordinator.kill_probe = probe
 
-    # -- federation: leases + shard handoff -------------------------------
-
-    def _arm_federation_tick(self) -> None:
-        def tick() -> None:
-            self._maybe_prefetch()
-            self.kernel.schedule(self.PREFETCH_TICK, tick)
-
-        self.kernel.schedule(self.PREFETCH_TICK, tick)
-
-    def _maybe_prefetch(self) -> None:
-        """Ask the allocator for a fresh range while the current one lasts.
-
-        Fire-and-forget with a retry window: if the allocator (or its
-        route) is down, the next tick re-requests and the HLC fallback
-        keeps commits flowing in the meantime.
-        """
-        if self.leased is None or not self.routes_installed:
-            return
-        if not self.leased.needs_refill():
-            return
-        now = time.monotonic()
-        if (
-            self._lease_request_at is not None
-            and now - self._lease_request_at < self.LEASE_RETRY
-        ):
-            return
-        bound = self.host.bound
-        if bound is None:
-            return
-        self._lease_request_at = now
-        self.lease_requests += 1
-        try:
-            self.host.wire.send_control(
-                allocator_control(),
-                {
-                    "op": "grant",
-                    "owner": self.coord_name,
-                    "span": self.lease_span,
-                    "reply": {
-                        "address": coordinator_control(self.coord_name),
-                        "host": bound[0],
-                        "port": bound[1],
-                    },
-                },
-            )
-        except Exception:
-            pass
-
-    def _on_lease(self, body: dict) -> None:
-        if self.leased is None:
-            return
-        lease = Lease(
-            lo=int(body["lo"]),
-            hi=int(body["hi"]),
-            owner=str(body.get("owner", self.coord_name)),
-        )
-        self._lease_request_at = None
-        self.lease_grants_received += 1
-        # Force the accepted range into the decision log before minting
-        # from it: replay seeds the next incarnation's floor past it.
-        self.decision_log.log_lease(lease.lo, lease.hi)
-        self.leased.feed(lease)
-
-    def _handoff_out(self, body: dict) -> None:
-        """Phase 1 of a handoff: drain this shard, then tell the caller."""
-        shard = int(body["shard"])
-        to = str(body["to"])
-        started = time.monotonic()
-        inflight_at_start = self.coordinator.begin_drain(shard, successor=to)
-        deadline = started + self.drain_timeout
-        self.handoffs_out += 1
-
-        def poll() -> None:
-            inflight = self.coordinator.shard_inflight(shard)
-            now = time.monotonic()
-            if inflight > 0 and now < deadline:
-                self.kernel.schedule(self.DRAIN_POLL, poll)
-                return
-            # Forced or clean, the shard stays marked draining until the
-            # shard-map push names the new owner (end_drain happens in
-            # _install_shard_map); refusals meanwhile redirect to ``to``.
-            self.reply_to(
-                body,
-                {
-                    "op": "drained",
-                    "shard": shard,
-                    "to": to,
-                    "forced": inflight > 0,
-                    "inflight_at_start": inflight_at_start,
-                    "duration": round(now - started, 4),
-                },
-            )
-
-        poll()
-
-    def _handoff_in(self, body: dict) -> None:
-        """Phase 2: adopt the shard at its bumped epoch (force-logged)."""
-        shard = int(body["shard"])
-        epoch = int(body["epoch"])
-        self.coordinator.adopt_shard(shard, epoch)
-        if self.shard_map is not None:
-            self.shard_map.adopt(shard, self.coord_name, epoch)
-        self.handoffs_in += 1
-        self.reply_to(body, {"op": "adopted", "shard": shard, "epoch": epoch})
-
-    def _install_shard_map(self, body: dict) -> None:
-        """Phase 3 push: install the new assignment (epochs never regress)."""
-        if self.shard_map is None:
-            return
-        self.shard_map.install(ShardMap.from_dict(body["map"]))
-        for shard in list(self.coordinator._draining):
-            if self.shard_map.owner(shard) != self.coord_name:
-                self.coordinator.end_drain(shard)
-        self.reply_to(body, {"op": "shard-map-ok"})
-
     def _submit(self, body: dict) -> None:
         spec = body["spec"]
         self.submitted += 1
@@ -687,7 +522,6 @@ class CoordinatorNode(_NodeBase):
                         if outcome.reason is not None
                         else None
                     ),
-                    "redirect": getattr(outcome, "redirect", None),
                     "sn": str(outcome.sn) if outcome.sn is not None else None,
                     "latency": outcome.latency,
                 },
@@ -708,22 +542,6 @@ class CoordinatorNode(_NodeBase):
 
     def stats(self) -> dict:
         session = self.host.session
-        federation = None
-        if self.federation is not None:
-            federation = {
-                "shards_owned": self.shard_map.shards_of(self.coord_name),
-                "lease_requests": self.lease_requests,
-                "lease_grants": self.lease_grants_received,
-                "lease_refills": self.leased.refills,
-                "fallback_draws": self.leased.fallback_draws,
-                "lease_remaining": self.leased.remaining,
-                "lease_high_water": self.decision_log.lease_high_water,
-                "wrong_shard_refusals": self.coordinator.wrong_shard_refusals,
-                "shard_inflight": self.coordinator.shard_inflight_by_shard(),
-                "shard_inflight_peak": self.coordinator.shard_inflight_peak,
-                "handoffs_out": self.handoffs_out,
-                "handoffs_in": self.handoffs_in,
-            }
         return {
             "role": "coordinator",
             "name": self.coord_name,
@@ -738,7 +556,6 @@ class CoordinatorNode(_NodeBase):
             "inquiries": self.coordinator.inquiries,
             "inquiries_presumed_abort": self.coordinator.inquiries_presumed_abort,
             "kills_armed": self.kills_armed,
-            "federation": federation,
             "session": {
                 "retransmits": session.retransmits,
                 "session_resets": session.session_resets,
@@ -759,87 +576,6 @@ class CoordinatorNode(_NodeBase):
     async def close(self) -> None:
         await super().close()
         self.decision_log.close()
-
-
-class AllocatorNode(_NodeBase):
-    """The federation's SN-lease authority: one WAL-backed allocator.
-
-    Grants disjoint ``[lo, hi)`` serial-number ranges over control
-    frames.  Each grant is force-logged before the reply leaves, so a
-    SIGKILLed-and-respawned allocator resumes past every range ever
-    handed out — no two coordinators can ever hold overlapping leases,
-    across any sequence of crashes.  Grant bases are floored at
-    ``time.time() * HLC_TICKS_PER_SECOND``, which keeps the lease space
-    roughly tracking real time (and ahead of history even after the
-    pathological wiped-WAL restart).
-    """
-
-    role = "allocator"
-
-    def __init__(
-        self, name: str, data_root: str, tuning: RtTuning, span: int = 64
-    ) -> None:
-        super().__init__(f"alloc-{name}", data_root, tuning)
-        self.alloc_name = name
-        self.allocator = open_allocator(
-            tuning.durability_config(data_root, owner=name),
-            clock=time.time,
-            span=span,
-        )
-        self.high_water_at_boot = self.allocator.high_water
-        self.host.wire.register_control(allocator_control(), self._on_control)
-
-    def status(self, bound) -> dict:
-        status = super().status(bound)
-        status["allocator"] = self.alloc_name
-        status["high_water"] = self.allocator.high_water
-        return status
-
-    def _on_control(self, body: dict) -> None:
-        op = body.get("op")
-        if op == "routes":
-            self.install_routes(body.get("peers", ()))
-            self.reply_to(body, {"op": "routes-ok"})
-        elif op == "grant":
-            span = int(body["span"]) if body.get("span") else None
-            lease = self.allocator.grant(str(body.get("owner", "?")), span)
-            self.reply_to(
-                body,
-                {
-                    "op": "lease",
-                    "lo": lease.lo,
-                    "hi": lease.hi,
-                    "owner": lease.owner,
-                },
-            )
-        elif op == "stats":
-            self.reply_to(body, {"op": "stats", "stats": self.stats()})
-        elif op == "die":
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif op == "quit":
-            self.request_stop()
-
-    def stats(self) -> dict:
-        return {
-            "role": "allocator",
-            "name": self.alloc_name,
-            "pid": os.getpid(),
-            "boot": self.host.wire.boot_id,
-            "grants": self.allocator.grants,
-            "high_water": self.allocator.high_water,
-            "high_water_at_boot": self.high_water_at_boot,
-            "wire": self.host.wire.stats(),
-            "wal": {
-                "recovery_clean": self.allocator.wal.recovery.clean,
-                "damaged_segment": self.allocator.wal.recovery.damaged_segment,
-                "repaired_files": self.allocator.wal.repaired_files,
-                "disk_fault_fired": self.allocator.wal.disk_fault_fired,
-            },
-        }
-
-    async def close(self) -> None:
-        await super().close()
-        self.allocator.close()
 
 
 async def _run_node(factory, listen: str, json_mode: bool) -> int:
@@ -894,17 +630,7 @@ def run_serve_agent(args) -> int:
 
 
 def run_serve_coordinator(args) -> int:
-    federation = None
-    if getattr(args, "federation_json", None):
-        federation = json.loads(args.federation_json)
     factory = lambda: CoordinatorNode(  # noqa: E731
-        args.name, args.data_root, _tuning_from_args(args), federation
-    )
-    return asyncio.run(_run_node(factory, args.listen, args.json))
-
-
-def run_serve_allocator(args) -> int:
-    factory = lambda: AllocatorNode(  # noqa: E731
-        args.name, args.data_root, _tuning_from_args(args), span=args.lease_span
+        args.name, args.data_root, _tuning_from_args(args)
     )
     return asyncio.run(_run_node(factory, args.listen, args.json))

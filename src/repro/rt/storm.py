@@ -3,8 +3,10 @@
 The storm client reads ``cluster.json`` (or ``--launch``\\ es a cluster
 itself), generates the deterministic debit-credit workload against the
 same bank shape and seed the agents loaded, and submits it to the live
-coordinator over control frames with a bounded in-flight window,
-measuring wall-clock commit latency client-side.
+coordinators over control frames with a bounded in-flight window,
+measuring wall-clock commit latency client-side.  Transaction ``n``
+goes to coordinator ``n mod M`` of the ``M`` in ``cluster.json``
+(``--launch --coordinators M`` starts that many).
 
 ``--kill-agent N --at prepared`` arms a crash probe inside agent ``N``
 that SIGKILLs the process at the exact ``post-prepare`` protocol point
@@ -15,7 +17,7 @@ and resumes in-doubt subtransactions to the coordinator's logged
 decision.
 
 ``--kill-coordinator --at sn_drawn|decision_logged|mid_broadcast``
-does the same to the Coordinating Site, bracketing its DECISION
+does the same to the first Coordinating Site, bracketing its DECISION
 record: before it exists, right after it is forced (zero COMMITs
 sent), and halfway through the commit broadcast.  Outcome replies for
 in-flight transactions die with the process — they are *not*
@@ -29,7 +31,7 @@ Afterwards the client runs the invariant battery:
 - the merged per-process history journals must pass
   ``check_atomic_commitment`` (no site commits what another aborted);
 - per site, ``sum(branch) == sum(tellers)``;
-- federation-wide, ``sum(accounts)`` must equal the initial balance
+- across all sites, ``sum(accounts)`` must equal the initial balance
   plus exactly the deltas of transactions reported committed — the
   end-to-end exactly-once test across the kill;
 - a killed agent must actually have restarted from a non-empty WAL.
@@ -50,13 +52,11 @@ import sys
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.federation.shard import ShardMap, shard_of_key
 from repro.history.invariants import check_atomic_commitment
 from repro.rt.host import ProtocolHost
 from repro.rt.journal import merge_journals
 from repro.rt.node import (
     agent_control,
-    allocator_control,
     coordinator_control,
     resolve_coordinator_kill_point,
     resolve_kill_point,
@@ -97,20 +97,10 @@ class StormClient:
         #: traffic (the chaos drill's nemesis plan executor).
         self.side_task_factory = None
         self.killed_coordinator: Optional[str] = None
-        self.cluster_info: Optional[dict] = None
         self.report: Optional[dict] = None
-        # -- federation routing state (empty on a classic cluster) -----
-        #: Coordinator name -> its control address; the full route table
-        #: from cluster.json (one entry on a classic cluster).
-        self.ctl_coords: Dict[str, str] = {}
+        #: Control addresses of cluster.json's coordinators, in order.
+        self.ctl_coords: List[str] = []
         self.coordinator_infos: List[dict] = []
-        self.shard_map: Optional[ShardMap] = None
-        self.n_shards = 0
-        #: WRONG_SHARD redirects this client followed (handoff races).
-        self.forwarded = 0
-        #: Submissions that still ended wrong-shard after redirecting.
-        self.wrong_shard_refused = 0
-        self.handoff_report: Optional[dict] = None
 
     # -- cluster attachment ---------------------------------------------------
 
@@ -207,7 +197,7 @@ class StormClient:
             waiter = self.stats_waiters.pop(body.get("from", ""), None)
             if waiter is not None and not waiter.done():
                 waiter.set_result(body["stats"])
-        elif op in ("armed", "routes-ok", "drained", "adopted", "shard-map-ok"):
+        elif op in ("armed", "routes-ok"):
             waiter = self.ack_waiters.pop(op, None)
             if waiter is not None and not waiter.done():
                 waiter.set_result(body)
@@ -222,37 +212,16 @@ class StormClient:
             "port": bound[1],
         }
         self.host.wire.register_control(CLIENT_CONTROL, self._on_control)
-        # The full coordinator route table: a federated cluster.json
-        # lists every coordinator under "coordinators"; a classic one
-        # only has the singular "coordinator" (a one-entry table).
-        self.coordinator_infos = list(
-            info.get("coordinators") or [info["coordinator"]]
-        )
+        self.coordinator_infos = list(info["coordinators"])
         for coord in self.coordinator_infos:
             ctl = coordinator_control(coord["name"])
-            self.ctl_coords[coord["name"]] = ctl
+            self.ctl_coords.append(ctl)
             self.host.wire.add_route(ctl, coord["host"], coord["port"])
-        self.ctl_coord = coordinator_control(self.coordinator_infos[0]["name"])
-        federation = info.get("federation")
-        if federation:
-            self.shard_map = ShardMap.from_dict(federation["shard_map"])
-            self.n_shards = int(federation["n_shards"])
-            alloc = federation.get("allocator")
-            if alloc:
-                self.host.wire.add_route(
-                    allocator_control(), alloc["host"], alloc["port"]
-                )
+        self.ctl_coord = self.ctl_coords[0]
         for agent in info["agents"]:
             self.host.wire.add_route(
                 agent_control(agent["site"]), agent["host"], agent["port"]
             )
-
-    def _ctl_for(self, number: int) -> str:
-        """The control address of the coordinator owning ``number``'s shard."""
-        if self.shard_map is None:
-            return self.ctl_coord
-        owner = self.shard_map.owner(shard_of_key(number, self.n_shards))
-        return self.ctl_coords.get(owner, self.ctl_coord)
 
     async def _await_ack(self, op: str, timeout: float = 10.0) -> dict:
         waiter = asyncio.get_running_loop().create_future()
@@ -275,21 +244,13 @@ class StormClient:
 
     async def run(self) -> int:
         args = self.args
-        if getattr(args, "federated", False) and args.launch:
-            self.extra_cluster_args += [
-                "--coordinators",
-                str(args.coordinators),
-                "--n-shards",
-                str(args.n_shards),
-                "--lease-span",
-                str(args.lease_span),
-            ]
+        if getattr(args, "coordinators", 1) > 1 and args.launch:
+            self.extra_cluster_args += ["--coordinators", str(args.coordinators)]
         if args.launch:
             await self._launch_cluster()
         cluster_json = os.path.join(self.data_root, "cluster.json")
         with open(cluster_json) as fh:
             info = json.load(fh)
-        self.cluster_info = info
         bank = BankConfig.from_dict(info["bank"])
         await self._attach(info)
 
@@ -305,7 +266,7 @@ class StormClient:
                 },
             )
             armed = await self._await_ack("armed")
-            self.killed_coordinator = info["coordinator"]["name"]
+            self.killed_coordinator = self.coordinator_infos[0]["name"]
             print(
                 f"storm: armed SIGKILL in coordinator "
                 f"{self.killed_coordinator} at {armed['point']} "
@@ -360,39 +321,18 @@ class StormClient:
             async with window:
                 number = item.spec.txn.number
                 t0 = loop.time()
-                target = self._ctl_for(number)
-                # Follow WRONG_SHARD redirects a bounded number of hops:
-                # the shard map this client routed by can lose a race
-                # with a live handoff, and the refusal's redirect hint
-                # names the coordinator that now owns the shard.
-                for _hop in range(4):
-                    event = asyncio.Event()
-                    self.outcome_events[number] = event
-                    self.host.wire.send_control(
-                        target,
-                        {"op": "submit", "spec": item.spec, "reply": self.reply},
-                    )
-                    try:
-                        await asyncio.wait_for(event.wait(), args.txn_timeout)
-                    except asyncio.TimeoutError:
-                        self.missing.append(number)
-                        return
-                    outcome = self.outcomes[number]
-                    redirect = outcome.get("redirect")
-                    if (
-                        outcome["committed"]
-                        or outcome.get("reason") != "wrong-shard"
-                        or redirect is None
-                    ):
-                        break
-                    next_target = self.ctl_coords.get(redirect)
-                    if next_target is None or next_target == target:
-                        break
-                    target = next_target
-                    self.forwarded += 1
+                event = asyncio.Event()
+                self.outcome_events[number] = event
+                self.host.wire.send_control(
+                    self.ctl_coords[number % len(self.ctl_coords)],
+                    {"op": "submit", "spec": item.spec, "reply": self.reply},
+                )
+                try:
+                    await asyncio.wait_for(event.wait(), args.txn_timeout)
+                except asyncio.TimeoutError:
+                    self.missing.append(number)
+                    return
                 outcome = self.outcomes[number]
-                if outcome.get("reason") == "wrong-shard":
-                    self.wrong_shard_refused += 1
                 outcome["wall_latency"] = loop.time() - t0
                 outcome["t_done"] = loop.time()
                 if outcome["committed"]:
@@ -401,18 +341,6 @@ class StormClient:
         side = None
         if self.side_task_factory is not None:
             side = asyncio.ensure_future(self.side_task_factory(info))
-        handoff_task = None
-        kill_during = getattr(args, "kill_during_handoff", "none")
-        if getattr(args, "handoff", False) or kill_during != "none":
-            if self.shard_map is None or len(self.ctl_coords) < 2:
-                self.failures.append(
-                    "--handoff requires a federated cluster with >= 2 "
-                    "coordinators"
-                )
-            else:
-                handoff_task = asyncio.ensure_future(
-                    self._run_handoff(info, kill_during)
-                )
         try:
             await asyncio.wait_for(
                 asyncio.gather(*(submit_one(item) for item in scheduled)),
@@ -424,12 +352,6 @@ class StormClient:
                 f"{len(self.outcomes)}/{len(scheduled)} outcomes"
             )
         duration = loop.time() - started
-        if handoff_task is not None:
-            try:
-                await asyncio.wait_for(handoff_task, args.timeout)
-            except Exception as exc:
-                handoff_task.cancel()
-                self.failures.append(f"handoff drill failed: {exc!r}")
         if side is not None:
             # the fault plan may outlast the traffic: let it finish (it
             # heals the cluster at its end) before verifying.
@@ -454,16 +376,10 @@ class StormClient:
         report = await self._verify(
             info, bank, generated, committed, killed_site
         )
-        if kill_during != "none":
-            label = f"handoff_kill_{kill_during}"
-        elif handoff_task is not None:
-            label = "handoff"
-        elif self.killed_coordinator:
+        if self.killed_coordinator:
             label = "coord_kill"
         elif killed_site:
             label = "kill_recover"
-        elif self.shard_map is not None and len(self.ctl_coords) > 1:
-            label = "federated"
         else:
             label = "healthy"
         report.update(
@@ -503,148 +419,15 @@ class StormClient:
                     self.host.wire.send_control(
                         agent_control(agent["site"]), {"op": "quit"}
                     )
-            for ctl in self.ctl_coords.values():
+            for ctl in self.ctl_coords:
                 with contextlib.suppress(Exception):
                     self.host.wire.send_control(ctl, {"op": "quit"})
-            if (self.cluster_info.get("federation") or {}).get("allocator"):
-                with contextlib.suppress(Exception):
-                    self.host.wire.send_control(
-                        allocator_control(), {"op": "quit"}
-                    )
             await asyncio.sleep(0.2)
 
         await self.host.close()
         if args.launch:
             await self._stop_cluster()
         return 1 if self.failures else 0
-
-    # -- live shard handoff (federated drill) ---------------------------------
-
-    #: Let some traffic land on the source shard before migrating it.
-    HANDOFF_START_DELAY = 0.3
-    ADOPT_RETRY = 1.0
-    ADOPT_ATTEMPTS = 30
-
-    async def _run_handoff(self, info: dict, kill_during: str) -> None:
-        """Migrate one shard between two live coordinators mid-traffic.
-
-        Drain (``handoff-out``) → epoch bump → adopt (``handoff-in``,
-        force-logged by the target) → ``shard-map`` broadcast.
-        ``kill_during`` SIGKILLs the source mid-drain or the target just
-        before adoption; the supervisor respawns the victim on its old
-        port and this orchestration retries until the handoff lands —
-        the agents' epoch fence keeps every interleaving safe.
-        """
-        loop = asyncio.get_running_loop()
-        await asyncio.sleep(self.HANDOFF_START_DELAY)
-        fed = info["federation"]
-        names = [c["name"] for c in self.coordinator_infos]
-        source, target = names[0], names[1]
-        shards = self.shard_map.shards_of(source)
-        if not shards:
-            raise RuntimeError(f"coordinator {source} owns no shard")
-        shard = shards[0]
-        drain_timeout = float(fed.get("drain_timeout", 5.0))
-        t0 = loop.time()
-        report: Dict[str, object] = {
-            "shard": shard,
-            "from": source,
-            "to": target,
-            "killed": None,
-            "forced": False,
-        }
-
-        # Phase 1: drain the source's in-flight globals on the shard.
-        waiter = loop.create_future()
-        self.ack_waiters["drained"] = waiter
-        self.host.wire.send_control(
-            self.ctl_coords[source],
-            {
-                "op": "handoff-out",
-                "shard": shard,
-                "to": target,
-                "reply": self.reply,
-            },
-        )
-        if kill_during == "source":
-            await asyncio.sleep(0.2)
-            self.killed_coordinator = source
-            report["killed"] = source
-            with contextlib.suppress(Exception):
-                self.host.wire.send_control(
-                    self.ctl_coords[source], {"op": "die"}
-                )
-            print(
-                f"storm: SIGKILLed handoff source {source} mid-drain",
-                flush=True,
-            )
-        try:
-            drained = await asyncio.wait_for(waiter, drain_timeout + 5.0)
-            report["forced"] = bool(drained.get("forced"))
-        except asyncio.TimeoutError:
-            # The source died (or wedged) mid-drain: the epoch fence
-            # makes forcing the ownership switch safe regardless.
-            self.ack_waiters.pop("drained", None)
-            report["forced"] = True
-
-        # Phase 2: bump the epoch and have the target adopt (force-
-        # logged before the ack, so a later respawn re-claims it).
-        if kill_during == "target":
-            self.killed_coordinator = target
-            report["killed"] = target
-            with contextlib.suppress(Exception):
-                self.host.wire.send_control(
-                    self.ctl_coords[target], {"op": "die"}
-                )
-            print(
-                f"storm: SIGKILLed handoff target {target} pre-adoption",
-                flush=True,
-            )
-        epoch = self.shard_map.epoch(shard) + 1
-        adopted = None
-        for _attempt in range(self.ADOPT_ATTEMPTS):
-            waiter = loop.create_future()
-            self.ack_waiters["adopted"] = waiter
-            with contextlib.suppress(Exception):
-                self.host.wire.send_control(
-                    self.ctl_coords[target],
-                    {
-                        "op": "handoff-in",
-                        "shard": shard,
-                        "epoch": epoch,
-                        "reply": self.reply,
-                    },
-                )
-            try:
-                adopted = await asyncio.wait_for(waiter, self.ADOPT_RETRY)
-                break
-            except asyncio.TimeoutError:
-                self.ack_waiters.pop("adopted", None)
-        if adopted is None:
-            raise RuntimeError(
-                f"target {target} never acknowledged adoption of shard {shard}"
-            )
-
-        # Phase 3: install + broadcast the new map.  The deposed owner
-        # drops its drain mark on receipt; anyone still routing to it
-        # gets a WRONG_SHARD redirect to the new owner meanwhile.
-        self.shard_map.adopt(shard, target, epoch)
-        for ctl in self.ctl_coords.values():
-            with contextlib.suppress(Exception):
-                self.host.wire.send_control(
-                    ctl, {"op": "shard-map", "map": self.shard_map.to_dict()}
-                )
-        report["epoch"] = epoch
-        report["duration_s"] = round(loop.time() - t0, 3)
-        self.handoff_report = report
-        print(
-            f"storm: handoff shard {shard} {source}->{target} epoch {epoch} "
-            f"({'forced' if report['forced'] else 'clean'}, "
-            f"{report['duration_s']}s"
-            + (f", killed {report['killed']}" if report["killed"] else "")
-            + ")",
-            flush=True,
-        )
 
     # -- verification ---------------------------------------------------------
 
@@ -715,12 +498,6 @@ class StormClient:
                 f"coord-{name}", coordinator_control(name)
             )
         coord_stats = coords_stats[self.coordinator_infos[0]["name"]]
-        alloc_stats = None
-        federation = info.get("federation")
-        if federation and federation.get("allocator"):
-            alloc_stats = await self._fetch_stats(
-                "allocator", allocator_control()
-            )
 
         total_accounts = 0
         total_branch = 0
@@ -794,26 +571,6 @@ class StormClient:
                         "in-doubt window)"
                     )
 
-        # (6) federation rollup: routing, fencing, leases, handoff.
-        federation_report = None
-        if self.shard_map is not None:
-            fenced = sum(
-                (s or {}).get("fenced_begins", 0) for s in stats.values()
-            )
-            federation_report = {
-                "coordinators": len(self.ctl_coords),
-                "n_shards": self.n_shards,
-                "forwarded_redirects": self.forwarded,
-                "wrong_shard_refused_final": self.wrong_shard_refused,
-                "fenced_begins": fenced,
-                "handoff": self.handoff_report,
-                "allocator": alloc_stats,
-                "per_coordinator": {
-                    name: (cs or {}).get("federation")
-                    for name, cs in coords_stats.items()
-                },
-            }
-
         return {
             "invariants": {
                 "atomic_commitment_violations": len(violations),
@@ -825,7 +582,6 @@ class StormClient:
             "agents": stats,
             "coordinator": coord_stats,
             "coordinators": coords_stats,
-            "federation": federation_report,
         }
 
     # -- reporting ------------------------------------------------------------
@@ -850,30 +606,6 @@ class StormClient:
             f"violations; bank checked: {inv['bank_checked']}",
             flush=True,
         )
-        fed = report.get("federation")
-        if fed:
-            print(
-                f"storm: federation {fed['coordinators']} coordinators x "
-                f"{fed['n_shards']} shards; "
-                f"{fed['forwarded_redirects']} redirects followed, "
-                f"{fed['wrong_shard_refused_final']} final wrong-shard "
-                f"refusals, {fed['fenced_begins']} fenced begins",
-                flush=True,
-            )
-            handoff = fed.get("handoff")
-            if handoff:
-                print(
-                    f"storm: handoff shard {handoff['shard']} "
-                    f"{handoff['from']}->{handoff['to']} epoch "
-                    f"{handoff['epoch']} in {handoff['duration_s']}s"
-                    + (" (forced)" if handoff.get("forced") else "")
-                    + (
-                        f" (killed {handoff['killed']})"
-                        if handoff.get("killed")
-                        else ""
-                    ),
-                    flush=True,
-                )
         victim = report["kill"]["site"] or report["kill"].get("coordinator")
         if victim:
             print(

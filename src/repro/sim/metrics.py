@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import RefusalReason
 from repro.core.dtm import MultidatabaseSystem
-from repro.federation.leases import LeasedSN
 from repro.history.committed import CommittedProjection, committed_projection
 from repro.history.distortion import DistortionReport, find_distortions
 from repro.history.graphs import find_cycle, serialization_graph
@@ -107,27 +106,6 @@ class SystemMetrics:
     giveups_sent: int = 0
     #: Globals the coordinators aborted on a GIVEUP hint.
     giveup_aborts: int = 0
-    # -- federation layer (all 0 with SystemConfig.federation None) ----
-    #: SN-lease grants the allocator issued.
-    lease_grants: int = 0
-    #: Lease activations across the coordinators' LeasedSN generators.
-    lease_refills: int = 0
-    #: Emergency HLC draws taken with no usable lease.
-    lease_fallback_draws: int = 0
-    #: BEGINs a coordinator refused because it does not own the shard.
-    wrong_shard_refusals: int = 0
-    #: Refused submissions the router re-sent to the redirect hint.
-    wrong_shard_forwarded: int = 0
-    #: Stale-epoch BEGINs the agents fenced (deposed-owner protection).
-    fenced_begins: int = 0
-    #: Completed live shard handoffs (and those forced at drain timeout).
-    handoffs: int = 0
-    forced_handoffs: int = 0
-    handoff_durations: List[float] = field(default_factory=list)
-    #: Max concurrent in-flight globals any coordinator held on one shard.
-    shard_inflight_peak: int = 0
-    #: Live per-shard in-flight gauge at snapshot time (shard -> count).
-    shard_inflight: Dict[int, int] = field(default_factory=dict)
     sim_time: float = 0.0
     latencies: List[float] = field(default_factory=list)
 
@@ -190,18 +168,6 @@ def collect_metrics(
         if coordinator.admission is not None:
             metrics.overload_admitted += coordinator.admission.admitted
             metrics.overload_shed += coordinator.admission.shed
-        metrics.wrong_shard_refusals += coordinator.wrong_shard_refusals
-        metrics.shard_inflight_peak = max(
-            metrics.shard_inflight_peak, coordinator.shard_inflight_peak
-        )
-        metrics.shard_inflight = merge_counts(
-            metrics.shard_inflight, coordinator.shard_inflight_by_shard()
-        )
-        if isinstance(coordinator.sn_generator, LeasedSN):
-            metrics.lease_refills += coordinator.sn_generator.refills
-            metrics.lease_fallback_draws += (
-                coordinator.sn_generator.fallback_draws
-            )
     for site in system.config.sites:
         agent = system.agent(site)
         ltm = system.ltm(site)
@@ -212,7 +178,6 @@ def collect_metrics(
             metrics.refusals_by_reason[key] = (
                 metrics.refusals_by_reason.get(key, 0) + count
             )
-        metrics.fenced_begins += agent.fenced_begins
         metrics.resubmissions += agent.resubmissions
         metrics.resubmit_failures += agent.resubmit_failures
         metrics.giveups_sent += agent.giveups_sent
@@ -263,12 +228,6 @@ def collect_metrics(
         metrics.breaker_opens = breakers.opens
     for coordinator in system.coordinators:
         metrics.quarantine_refusals += coordinator.quarantine_refusals
-    if getattr(system, "sn_allocator", None) is not None:
-        metrics.lease_grants = system.sn_allocator.grants
-    metrics.handoffs = getattr(system, "handoffs", 0)
-    metrics.forced_handoffs = getattr(system, "forced_handoffs", 0)
-    metrics.handoff_durations = list(getattr(system, "handoff_durations", []))
-    metrics.wrong_shard_forwarded = getattr(system, "wrong_shard_forwarded", 0)
     metrics.sim_time = system.kernel.now
     if latencies is not None:
         metrics.latencies = list(latencies)

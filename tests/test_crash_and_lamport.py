@@ -1,4 +1,4 @@
-"""Tests for site crashes (collective abort) and the Lamport SN source."""
+"""Tests for site crashes (collective abort) and paused-channel races."""
 
 from repro.common.ids import SubtxnId, global_txn
 from repro.core.agent import AgentConfig
@@ -124,59 +124,6 @@ class TestCrashDuringProtocol:
         assert report.rigor_violations == 0
         assert not report.distortions.has_global_distortion
         assert report.distortions.commit_graph_cycle is None
-
-
-class TestLamportSN:
-    def test_lamport_system_commits_and_orders(self):
-        system = MultidatabaseSystem(
-            SystemConfig(
-                sites=("a", "b"), n_coordinators=2, sn_source="lamport"
-            )
-        )
-        system.load("a", "t", {"P": 1})
-        system.load("b", "t", {"S": 2})
-        first = system.submit(
-            GlobalTransactionSpec(
-                txn=global_txn(1),
-                steps=(
-                    ("a", UpdateItem("t", "P", AddValue(1))),
-                    ("b", UpdateItem("t", "S", AddValue(1))),
-                ),
-            ),
-            coordinator=0,
-        )
-        drain(system)
-        second = system.submit(
-            GlobalTransactionSpec(
-                txn=global_txn(2),
-                steps=(
-                    ("a", UpdateItem("t", "P", AddValue(1))),
-                    ("b", UpdateItem("t", "S", AddValue(1))),
-                ),
-            ),
-            coordinator=1,
-        )
-        drain(system)
-        sn1, sn2 = first.value.sn, second.value.sn
-        # Causality: c2 witnessed SN(1) through the agents' piggyback
-        # (T2 read T1's writes), so SN(2) must exceed SN(1) even though
-        # the two coordinators never talked to each other.
-        assert sn1 < sn2
-        assert audit(system).ok
-
-    def test_agents_piggyback_max_seen_sn(self):
-        system = MultidatabaseSystem(
-            SystemConfig(sites=("a",), n_coordinators=1, sn_source="lamport")
-        )
-        system.load("a", "t", {"P": 1})
-        done = system.submit(
-            GlobalTransactionSpec(
-                txn=global_txn(1), steps=(("a", ReadItem("t", "P")),)
-            )
-        )
-        drain(system)
-        assert done.value.committed
-        assert system.agent("a").max_seen_sn == done.value.sn
 
 
 class TestPausedChannelRace:

@@ -29,11 +29,12 @@ from tests.fingerprint_util import fingerprint, run_seeded_workload
 
 from repro.ablations import remember_intervals
 from repro.common.ids import SerialNumber, global_txn
-from repro.core.dtm import MultidatabaseSystem, SystemConfig
+from repro.core.dtm import METHODS, MultidatabaseSystem, SystemConfig
 from repro.core.intervals import AliveInterval
 from repro.explore import ExploreSpec, RandomChooser, run_once
 from repro.sim.failures import ChaosConfig, run_chaos
 from repro.sim.overload import OverloadDrillConfig, run_overload
+from repro.workload import scenarios
 
 GOLDEN = {
     (0, 0.0, "2cm"): "f9bbfd8388daa01d6911459d60bcb6a85548c4b6b38cb522b164488817bc5283",
@@ -311,3 +312,73 @@ def test_interval_memory_matches_golden(depth, engine):
     system = method_system("2cm", engine)
     remember_intervals(system, depth)
     assert certifier_digest(system.certifier("a")) == MEMORY_GOLDEN[(depth, engine)]
+
+
+# ----------------------------------------------------------------------
+# The paper's scenarios under every method.  Unlike the seeded workload
+# above, these reach the H2/H3/Hx shapes where the switch-offs act:
+# every method but ``ticket`` differs from ``2cm`` in at least one
+# scenario.  Regenerate (only after an *intentional* semantic change)
+# by printing ``scenario_digest(name, method)`` for every key.
+# ----------------------------------------------------------------------
+
+SCENARIOS = ("run_h1", "run_h2", "run_h3", "run_hx", "run_h2_indirect")
+
+
+def scenario_digest(name: str, method: str) -> str:
+    result = getattr(scenarios, name)(method)
+    return hashlib.sha256(result.system.history.render().encode()).hexdigest()
+
+
+#: (scenario runner, method) -> SHA-256 of ``system.history.render()``.
+SCENARIO_GOLDEN = {
+    ('run_h1', '2cm'): '54faf1ceb59244ba02db5ad4717f27211efb438401b4e10332c594cb35f64756',
+    ('run_h1', '2cm-noext'): '54faf1ceb59244ba02db5ad4717f27211efb438401b4e10332c594cb35f64756',
+    ('run_h1', '2cm-nocommitcert'): '54faf1ceb59244ba02db5ad4717f27211efb438401b4e10332c594cb35f64756',
+    ('run_h1', '2cm-prepare-order'): '54faf1ceb59244ba02db5ad4717f27211efb438401b4e10332c594cb35f64756',
+    ('run_h1', '2cm-conflict-aware'): '54faf1ceb59244ba02db5ad4717f27211efb438401b4e10332c594cb35f64756',
+    ('run_h1', 'naive'): '08f0d9cc3f41c2a52f7570165d2fb97492e4a94a364d0e500893a49dd42165e1',
+    ('run_h1', 'ticket'): '54faf1ceb59244ba02db5ad4717f27211efb438401b4e10332c594cb35f64756',
+    ('run_h1', 'cgm'): 'a7266516fedb6d99fa210135946d2512638703c84b0092e209a198441600c85a',
+    ('run_h2', '2cm'): '3b3f8399ececf651e185c570d487afc591271a14c48fc6fa13dbcd7e50c5c47a',
+    ('run_h2', '2cm-noext'): '3b3f8399ececf651e185c570d487afc591271a14c48fc6fa13dbcd7e50c5c47a',
+    ('run_h2', '2cm-nocommitcert'): '3b3f8399ececf651e185c570d487afc591271a14c48fc6fa13dbcd7e50c5c47a',
+    ('run_h2', '2cm-prepare-order'): '3b3f8399ececf651e185c570d487afc591271a14c48fc6fa13dbcd7e50c5c47a',
+    ('run_h2', '2cm-conflict-aware'): 'b0c539191402fd5393a13fe81e64fd541ef98c0035992cf05cf072b5e7e04a73',
+    ('run_h2', 'naive'): '91c71e09bd3651daf627ae3c8f685833f8d65320492ddd0f02811aec5970c68b',
+    ('run_h2', 'ticket'): '3b3f8399ececf651e185c570d487afc591271a14c48fc6fa13dbcd7e50c5c47a',
+    ('run_h2', 'cgm'): '9125ef08ae9cd48c49b1048b2fd6a657616fe50311f68f13ccccbe545f87dba3',
+    ('run_h3', '2cm'): '5c8a4ac8eb94188bb3a2d7b24d2ae73f5036214041822cbd9ba874a0c196e64c',
+    ('run_h3', '2cm-noext'): '5c8a4ac8eb94188bb3a2d7b24d2ae73f5036214041822cbd9ba874a0c196e64c',
+    ('run_h3', '2cm-nocommitcert'): '21e1032983479d59cc2c24c952f829df6baa08b42a3f87c523ec443a2ece955a',
+    ('run_h3', '2cm-prepare-order'): '21e1032983479d59cc2c24c952f829df6baa08b42a3f87c523ec443a2ece955a',
+    ('run_h3', '2cm-conflict-aware'): '5c8a4ac8eb94188bb3a2d7b24d2ae73f5036214041822cbd9ba874a0c196e64c',
+    ('run_h3', 'naive'): '21e1032983479d59cc2c24c952f829df6baa08b42a3f87c523ec443a2ece955a',
+    ('run_h3', 'ticket'): '5c8a4ac8eb94188bb3a2d7b24d2ae73f5036214041822cbd9ba874a0c196e64c',
+    ('run_h3', 'cgm'): '64fadaecbd54e181ed74444e35805ebcf84b87541b2949c0e3dbd8d18f0f3732',
+    ('run_hx', '2cm'): '9fb257640d092f2891329416d116442fd26e3f25c9dca8fce0e8f0695717c588',
+    ('run_hx', '2cm-noext'): 'd0e5ad9b2502797d3817ed12b2002ce665f253e362812ddf4cc35b9bc1d177f7',
+    ('run_hx', '2cm-nocommitcert'): 'a18632ae9e21b8c86d573b8bbe897c1dae6e6f5ab0bc8e9a6577a6e2cc0a94a4',
+    ('run_hx', '2cm-prepare-order'): 'd0e5ad9b2502797d3817ed12b2002ce665f253e362812ddf4cc35b9bc1d177f7',
+    ('run_hx', '2cm-conflict-aware'): '9fb257640d092f2891329416d116442fd26e3f25c9dca8fce0e8f0695717c588',
+    ('run_hx', 'naive'): '4c85f61dc8c9beaad58cb65be7b5853fcabd7c175e8cb53fb9e30f2bfd231044',
+    ('run_hx', 'ticket'): '9fb257640d092f2891329416d116442fd26e3f25c9dca8fce0e8f0695717c588',
+    ('run_hx', 'cgm'): '301bc7d9f47c3cd278731a52ef3f1e130d7bab73b63d8057b9afaf3ef3212ae1',
+    ('run_h2_indirect', '2cm'): '82b6462364daece887ca76f303eb604b1ac2422be619990730c80d53e8735222',
+    ('run_h2_indirect', '2cm-noext'): '82b6462364daece887ca76f303eb604b1ac2422be619990730c80d53e8735222',
+    ('run_h2_indirect', '2cm-nocommitcert'): '82b6462364daece887ca76f303eb604b1ac2422be619990730c80d53e8735222',
+    ('run_h2_indirect', '2cm-prepare-order'): '82b6462364daece887ca76f303eb604b1ac2422be619990730c80d53e8735222',
+    ('run_h2_indirect', '2cm-conflict-aware'): '672715a1fe98f72ba756e3dc1e6a9a23326314976b2699b741dde61e9ef7bbc8',
+    ('run_h2_indirect', 'naive'): '6a1e06aefd4cde5280c8ac13fdaba66ebbaffbd815651d2ef7e6dbd59823adbb',
+    ('run_h2_indirect', 'ticket'): '82b6462364daece887ca76f303eb604b1ac2422be619990730c80d53e8735222',
+    ('run_h2_indirect', 'cgm'): '5ede4519c10a3d004431de731719431ab58e9cc900c775f50454be15eb6e2b51',
+}
+
+
+def test_scenario_golden_covers_every_method():
+    assert set(SCENARIO_GOLDEN) == {(n, m) for n in SCENARIOS for m in METHODS}
+
+
+@pytest.mark.parametrize("name,method", sorted(SCENARIO_GOLDEN))
+def test_scenario_history_matches_golden(name, method):
+    assert scenario_digest(name, method) == SCENARIO_GOLDEN[(name, method)]

@@ -4,7 +4,7 @@ The replay contract is the foundation under shrinking and ``.schedule``
 repro files: any trace, however it was produced (random walk, DFS
 deviation, shrink candidate, hand edit), must replay to a
 byte-identical history fingerprint — including with the WAL-backed
-durability layer on and with a multi-coordinator federation.
+durability layer on and with more than one coordinator.
 """
 
 import random

@@ -200,3 +200,146 @@ def test_transport_loopback_respects_down_endpoints():
     wire.send(_msg("kept"))
     kernel.run(until=0.2)
     assert got == ["kept"]
+
+
+class TestConcurrentCoordinatorRestarts:
+    """Per-peer session resets stay per-peer when two coordinators restart."""
+
+    def _msg(self, dst, payload):
+        return Message(
+            MsgType.COMMAND,
+            src="ep:storm",
+            dst=dst,
+            txn=global_txn(1),
+            payload=payload,
+        )
+
+    def test_reset_peer_touches_only_that_peers_channels(self):
+        kernel = EventKernel()
+        network = Network(kernel, latency=LatencyModel(base=0.01))
+        session = SessionLayer(kernel, network, ReliableConfig(jitter=0.0))
+        session.register("ep:storm", lambda m: None)
+        got = {"ep:c1": [], "ep:c2": []}
+        session.register("ep:c1", lambda m: got["ep:c1"].append(m.payload))
+        session.register("ep:c2", lambda m: got["ep:c2"].append(m.payload))
+
+        session.send(self._msg("ep:c1", "c1-m1"))
+        session.send(self._msg("ep:c2", "c2-m1"))
+        kernel.run(until=1.0)
+
+        # both coordinators die mid-window
+        session.note_endpoint_down("ep:c1")
+        session.note_endpoint_down("ep:c2")
+        session.send(self._msg("ep:c1", "c1-m2"))
+        session.send(self._msg("ep:c2", "c2-m2"))
+        kernel.run(until=2.0)
+        c1_state = session._send_states[("ep:storm", "ep:c1")]
+        c2_state = session._send_states[("ep:storm", "ep:c2")]
+        assert c1_state.unacked and c2_state.unacked
+
+        # c1's restart is detected first: only c1's channel may reset
+        session.note_endpoint_up("ep:c1")
+        assert session.reset_peer("ep:c1") == 1
+        assert c1_state.epoch == 1
+        assert c2_state.epoch == 0, "c2's window was cross-contaminated"
+        c2_pending = list(c2_state.unacked)
+
+        kernel.run(until=3.0)
+        assert got["ep:c1"] == ["c1-m1", "c1-m2"]
+        # c2 is still down; its window must be exactly as it was
+        assert list(c2_state.unacked) == c2_pending
+
+        # now c2's restart lands: its channel resets independently
+        session.note_endpoint_up("ep:c2")
+        assert session.reset_peer("ep:c2") == 1
+        assert c2_state.epoch == 1
+        assert c1_state.epoch == 1
+        kernel.run(until=4.0)
+        assert got["ep:c2"] == ["c2-m1", "c2-m2"]
+        assert session.session_resets == 2
+
+    def test_two_live_coordinators_restarting_concurrently(self):
+        """ProtocolHost end-to-end: both coordinator peers SIGKILL and
+        respawn with new boot ids; each surviving channel resets exactly
+        once and redelivers only its own pending window."""
+        fast = ReliableConfig(
+            rto=0.2, backoff=2.0, max_rto=1.0, jitter=0.0, max_retries=200
+        )
+
+        async def scenario():
+            client = ProtocolHost("storm", reliable=fast, boot_id="boot-s")
+            await client.start()
+            client.transport.register("ep:storm", lambda m: None)
+
+            coords = {}
+            got = {"c1": [], "c2": []}
+            ports = {}
+            for name in ("c1", "c2"):
+                host = ProtocolHost(name, reliable=fast, boot_id=f"{name}-b1")
+                addr, port = await host.start()
+                host.transport.register(
+                    f"ep:{name}", lambda m, n=name: got[n].append(m.payload)
+                )
+                client.add_peer(name, addr, port, [f"ep:{name}"])
+                host.add_peer("storm", *client.bound, ["ep:storm"])
+                coords[name] = host
+                ports[name] = (addr, port)
+
+            async def wait_for(cond, what):
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while not cond():
+                    if asyncio.get_running_loop().time() > deadline:
+                        raise AssertionError(f"timed out waiting for {what}")
+                    await asyncio.sleep(0.02)
+
+            client.transport.send(self._msg("ep:c1", "c1-m1"))
+            client.transport.send(self._msg("ep:c2", "c2-m1"))
+            await wait_for(
+                lambda: got["c1"] == ["c1-m1"] and got["c2"] == ["c2-m1"],
+                "initial delivery",
+            )
+            s1 = client.session._send_states[("ep:storm", "ep:c1")]
+            s2 = client.session._send_states[("ep:storm", "ep:c2")]
+            await wait_for(
+                lambda: not s1.unacked and not s2.unacked, "initial acks"
+            )
+
+            # both incarnations vanish mid-window
+            await coords["c1"].close()
+            await coords["c2"].close()
+            client.transport.send(self._msg("ep:c1", "c1-m2"))
+            client.transport.send(self._msg("ep:c2", "c2-m2"))
+
+            # both respawn concurrently on their old ports, new boots
+            got2 = {"c1": [], "c2": []}
+            respawned = {}
+            for name in ("c1", "c2"):
+                host = ProtocolHost(name, reliable=fast, boot_id=f"{name}-b2")
+                await host.start(*ports[name])
+                host.transport.register(
+                    f"ep:{name}", lambda m, n=name: got2[n].append(m.payload)
+                )
+                host.add_peer("storm", *client.bound, ["ep:storm"])
+                respawned[name] = host
+
+            await wait_for(
+                lambda: got2["c1"] == ["c1-m2"] and got2["c2"] == ["c2-m2"],
+                "window redelivery to both successors",
+            )
+            # exactly one reset per restarted peer, and each channel's
+            # epoch bumped exactly once — no cross-contamination
+            assert client.peer_resets == 2
+            assert s1.epoch == 1
+            assert s2.epoch == 1
+            await wait_for(
+                lambda: not s1.unacked and not s2.unacked, "window drain"
+            )
+            # nothing leaked across channels
+            assert got2["c1"] == ["c1-m2"]
+            assert got2["c2"] == ["c2-m2"]
+
+            await client.close()
+            for host in respawned.values():
+                await host.close()
+
+        asyncio.run(scenario())

@@ -6,7 +6,6 @@ from repro.common.errors import ConfigError
 from repro.common.ids import SerialNumber
 from repro.core.serial import (
     CentralCounterSN,
-    LamportSN,
     RealTimeClockSN,
     SiteClock,
     make_sn_generator,
@@ -89,32 +88,6 @@ class TestCentralCounterSN:
         assert CentralCounterSN().generate("c1").site == "central"
 
 
-class TestLamportSN:
-    def test_monotone_per_site(self):
-        gen = LamportSN()
-        first = gen.generate("c1")
-        second = gen.generate("c1")
-        assert first < second
-
-    def test_witness_advances_clock(self):
-        gen = LamportSN()
-        gen.witness("c2", SerialNumber(41.0, "c1", 0))
-        sn = gen.generate("c2")
-        assert sn.clock == 42.0
-
-    def test_witness_never_rewinds(self):
-        gen = LamportSN()
-        gen.generate("c1")
-        gen.generate("c1")
-        gen.witness("c1", SerialNumber(1.0, "c9", 0))
-        assert gen.generate("c1").clock == 3.0
-
-    def test_base_witness_is_noop_for_other_generators(self):
-        gen = CentralCounterSN()
-        gen.witness("c1", SerialNumber(99.0, "x", 0))  # must not raise
-        assert gen.generate("c1").clock == 1.0
-
-
 class TestFactory:
     def test_kinds(self):
         kernel = EventKernel()
@@ -123,7 +96,6 @@ class TestFactory:
             RealTimeClockSN,
         )
         assert isinstance(make_sn_generator("counter", kernel), CentralCounterSN)
-        assert isinstance(make_sn_generator("lamport", kernel), LamportSN)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

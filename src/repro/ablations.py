@@ -265,7 +265,7 @@ def _apply_rollback_blind(system: "MultidatabaseSystem") -> None:
         original = agent._on_rollback
 
         def patched(msg, _agent=agent, _original=original):
-            state = _agent._txns.get(msg.txn)
+            state = _agent._states.get(msg.txn)
             if (
                 state is not None
                 and state.phase is AgentPhase.PREPARED

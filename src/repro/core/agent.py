@@ -198,14 +198,15 @@ class TwoPCAgent:
             if overload is not None
             else None
         )
-        self._txns: Dict[TxnId, _AgentTxn] = {}
+        self._states: Dict[TxnId, _AgentTxn] = {}
         #: PREPAREs queued within one kernel step (batch_prepares only).
         self._prepare_queue: List[Message] = []
         self._prepare_flush_armed = False
         #: Crash injection hook: ``probe(point, txn) -> bool``; returning
         #: True kills the agent at that protocol point (see crash()).
         self.crash_probe: Optional[Callable[[str, TxnId], bool]] = None
-        self._crashed = False
+        #: Down until :meth:`boot`, and again from a crash to its recovery.
+        self._down = True
         #: Bumped on every crash so completions subscribed by a previous
         #: incarnation of the agent process are recognisably stale.
         self._epoch = 0
@@ -235,6 +236,7 @@ class TwoPCAgent:
         #: DONE entries dropped on the coordinator's END watermark.
         self.done_forgotten = 0
         network.register(self.address, self._on_message)
+        network.note_endpoint_down(self.address)
         ltm.on_unilateral_abort(self._on_uan)
 
     # ------------------------------------------------------------------
@@ -242,7 +244,7 @@ class TwoPCAgent:
     # ------------------------------------------------------------------
 
     def _on_message(self, msg: Message) -> None:
-        if self._crashed:
+        if self._down:
             return  # a dead process receives nothing
         try:
             if msg.type is MsgType.BEGIN:
@@ -270,7 +272,7 @@ class TwoPCAgent:
     def _probe(self, point: str, txn: TxnId) -> None:
         """Crash here if the injected probe says so."""
         hook = self.crash_probe
-        if hook is not None and not self._crashed and hook(point, txn):
+        if hook is not None and not self._down and hook(point, txn):
             self.crash()
             raise AgentCrashed(self.site, point, txn)
 
@@ -297,7 +299,7 @@ class TwoPCAgent:
     # ------------------------------------------------------------------
 
     def _on_begin(self, msg: Message) -> None:
-        existing = self._txns.get(msg.txn)
+        existing = self._states.get(msg.txn)
         if existing is not None:
             if existing.recovered:
                 # The pre-crash ack died with the process; the sender
@@ -314,12 +316,12 @@ class TwoPCAgent:
             last_activity=self.kernel.now,
             deadline=msg.deadline,
         )
-        self._txns[msg.txn] = state
+        self._states[msg.txn] = state
         self.log.open(msg.txn, coordinator=msg.src)
         self._arm_orphan_timer(state)
 
     def _on_command(self, msg: Message) -> None:
-        state = self._txns.get(msg.txn)
+        state = self._states.get(msg.txn)
         if state is None:
             # A restart wiped the volatile state (the entry never
             # reached its prepare record): fail the command so the
@@ -401,13 +403,13 @@ class TwoPCAgent:
     def _flush_prepare_batch(self) -> None:
         self._prepare_flush_armed = False
         queue, self._prepare_queue = self._prepare_queue, []
-        if self._crashed or not queue:
+        if self._down or not queue:
             return
         self._refresh_intervals()
         batch = self.certifier.begin_prepare_batch()
         self.prepare_batches += 1
         for msg in queue:
-            if self._crashed:
+            if self._down:
                 # A probe killed the agent mid-batch; the survivors are
                 # dropped like any message to a dead process.
                 return
@@ -417,7 +419,7 @@ class TwoPCAgent:
                 pass
 
     def _handle_prepare(self, msg: Message, batch=None) -> None:
-        state = self._txns.get(msg.txn)
+        state = self._states.get(msg.txn)
         if state is None:
             # Restart wiped an un-prepared entry; refuse so the
             # coordinator rolls the global transaction back.
@@ -532,7 +534,7 @@ class TwoPCAgent:
 
     def _refresh_intervals(self) -> None:
         """Alive-check every prepared entry and extend live intervals."""
-        for other in self._txns.values():
+        for other in self._states.values():
             if other.phase is not AgentPhase.PREPARED:
                 continue
             if other.uan or other.resubmitting:
@@ -631,7 +633,7 @@ class TwoPCAgent:
     # ------------------------------------------------------------------
 
     def _on_uan(self, subtxn: SubtxnId) -> None:
-        state = self._txns.get(subtxn.txn)
+        state = self._states.get(subtxn.txn)
         if state is None or state.phase is AgentPhase.DONE:
             return
         if state.local.subtxn != subtxn:
@@ -751,7 +753,7 @@ class TwoPCAgent:
     # ------------------------------------------------------------------
 
     def _on_commit(self, msg: Message) -> None:
-        state = self._txns.get(msg.txn)
+        state = self._states.get(msg.txn)
         if state is None or state.phase is AgentPhase.DONE:
             # Already committed (possibly by a recovered incarnation that
             # re-acked and discarded): acknowledge idempotently so
@@ -860,7 +862,7 @@ class TwoPCAgent:
     # ------------------------------------------------------------------
 
     def _on_rollback(self, msg: Message) -> None:
-        state = self._txns.get(msg.txn)
+        state = self._states.get(msg.txn)
         if state is None or state.phase is AgentPhase.DONE:
             # Already refused / finished; acknowledge idempotently.
             self._reply(msg, MsgType.ROLLBACK_ACK)
@@ -910,7 +912,7 @@ class TwoPCAgent:
             # most one eager retry per subtransaction is ever queued, so
             # a burst of finalizations cannot build a thundering herd of
             # redundant certify_commit calls against the same entry.
-            for other in list(self._txns.values()):
+            for other in list(self._states.values()):
                 if (
                     other.commit_pending
                     and other.phase is AgentPhase.PREPARED
@@ -926,7 +928,7 @@ class TwoPCAgent:
 
         All acks for ``txn`` are in, so no further message about it can
         require this agent's per-transaction state.  With
-        ``gc_done_txns`` the DONE entry is dropped (bounding ``_txns``
+        ``gc_done_txns`` the DONE entry is dropped (bounding ``_states``
         under sustained load); without it this is a no-op, preserving
         the default refusal behaviour for late stragglers.  Entries not
         yet DONE are never dropped — a crash-recovered agent may still
@@ -934,9 +936,9 @@ class TwoPCAgent:
         """
         if not self.config.gc_done_txns:
             return
-        state = self._txns.get(txn)
+        state = self._states.get(txn)
         if state is not None and state.phase is AgentPhase.DONE:
-            del self._txns[txn]
+            del self._states[txn]
             self.done_forgotten += 1
 
     # ------------------------------------------------------------------
@@ -954,9 +956,9 @@ class TwoPCAgent:
         managed to write).  Until :meth:`recover` runs, incoming
         messages are dropped on the floor.
         """
-        if self._crashed:
+        if self._down:
             return
-        self._crashed = True
+        self._down = True
         self.crashes += 1
         self._epoch += 1
         self._prepare_queue = []
@@ -964,8 +966,8 @@ class TwoPCAgent:
         # stop acknowledging deliveries nobody is listening to, so the
         # senders keep retransmitting until recovery.
         self.network.note_endpoint_down(self.address)
-        old_states = self._txns
-        self._txns = {}
+        old_states = self._states
+        self._states = {}
         for state in old_states.values():
             if state.alive_timer is not None:
                 state.alive_timer.cancel()
@@ -980,41 +982,42 @@ class TwoPCAgent:
         self.log.close()
 
     def recover(self, log: Optional[AgentLog] = None) -> int:
-        """Restart the crashed agent from its (durable) Agent log.
-
-        This is the scenario the durable Agent log exists for: the
-        simulated prepared state must survive the agent itself.  On
-        restart:
-
-        * the log is scanned: entries with a prepare record re-enter the
-          prepared state (their last known alive interval is the instant
-          of the prepare record; the alive check will discover the dead
-          incarnation and resubmit), entries with a commit record resume
-          the commit (idempotently re-acking if the local commit had
-          already happened), and entries still in the active state are
-          left to fail their next COMMAND or PREPARE — the coordinator
-          then aborts them, exactly as a refused participant would;
-        * the certification extension's max-committed-SN register is
-          reloaded from its durable home in the log.
+        """Restart the crashed agent: :meth:`boot` it again.
 
         With the in-memory log, pass nothing — the object survives by
         fiat.  With a :class:`~repro.durability.agent_log.DurableAgentLog`,
         pass a freshly re-opened instance (``DurableAgentLog.open_site``)
         — the crashed one is closed and holds only dead file handles.
-
-        Returns the number of recovered (non-final) transactions.
         """
-        if not self._crashed:
+        if not self._down:
             # Recovering a live agent would wipe its volatile state and
             # re-insert stale log entries; injectors whose scheduled
             # recovery races an earlier heal must be a no-op here.
             return 0
         if log is not None:
             self.log = log
-        self._crashed = False
         self.restarts += 1
+        return self.boot()
+
+    def boot(self) -> int:
+        """The RECOVERY step: bring the agent up from its Agent log.
+
+        Run once routes to the coordinators exist; until then inbound
+        traffic is dropped unacknowledged, so senders retransmit.  The
+        LTM must know each subtransaction the log names (a fresh LDBS
+        process learns them from ``LocalTransactionManager.restore``).
+        Prepared entries re-enter the prepared state (the alive check
+        resubmits a dead incarnation); committed ones resume the commit,
+        or are re-acked and discarded if the local commit happened;
+        active ones fail their next COMMAND or PREPARE and arm the
+        orphan timer.  The extension's max-committed-SN register is
+        reloaded.  Returns the number of recovered (non-final)
+        transactions; 0 for an agent already up.
+        """
+        if not self._down:
+            return 0
+        self._down = False
         self.network.note_endpoint_up(self.address)
-        self.certifier = self.certifier.fresh()
         self.certifier.restore_max_committed_sn(self.log.max_committed_sn)
 
         recovered = 0
@@ -1049,7 +1052,7 @@ class TwoPCAgent:
                 sn=entry.prepare_sn,
                 recovered=True,
             )
-            self._txns[entry.txn] = state
+            self._states[entry.txn] = state
             recovered += 1
             if entry.prepared:
                 state.phase = AgentPhase.PREPARED
@@ -1071,11 +1074,6 @@ class TwoPCAgent:
                         lambda s=state: self._guarded_try_commit(s)
                     )
             else:
-                # Active-state entries stay ACTIVE with a dead
-                # incarnation: their next COMMAND or PREPARE fails and
-                # the coordinator rolls them back.  If the coordinator
-                # died too, that message never comes — the orphan timer
-                # inquires and the presumed-abort reply clears the entry.
                 self._arm_orphan_timer(state)
         return recovered
 
@@ -1086,24 +1084,25 @@ class TwoPCAgent:
 
     @property
     def crashed(self) -> bool:
-        return self._crashed
+        """Down: crashed and not yet recovered (or not booted yet)."""
+        return self._down
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def _state(self, txn: TxnId) -> _AgentTxn:
-        state = self._txns.get(txn)
+        state = self._states.get(txn)
         if state is None:
             raise SimulationError(f"agent {self.site} has no state for {txn}")
         return state
 
     def phase_of(self, txn: TxnId) -> Optional[AgentPhase]:
-        state = self._txns.get(txn)
+        state = self._states.get(txn)
         return None if state is None else state.phase
 
     def current_incarnation(self, txn: TxnId) -> Optional[SubtxnId]:
-        state = self._txns.get(txn)
+        state = self._states.get(txn)
         return None if state is None else state.local.subtxn
 
     def prepared_txns(self) -> List[TxnId]:
@@ -1116,9 +1115,9 @@ class TwoPCAgent:
         locks — the store totals are exactly the committed image.
         """
         return sum(
-            1 for s in self._txns.values() if s.phase is not AgentPhase.DONE
+            1 for s in self._states.values() if s.phase is not AgentPhase.DONE
         )
 
     def resubmissions_of(self, txn: TxnId) -> int:
-        state = self._txns.get(txn)
+        state = self._states.get(txn)
         return 0 if state is None else state.resubmissions

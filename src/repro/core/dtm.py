@@ -2,14 +2,15 @@
 
 ``MultidatabaseSystem.build`` wires one complete HMDBS:
 
-* per site: a :class:`~repro.ldbs.ltm.LocalTransactionManager`, its
-  :class:`~repro.ldbs.dlu.BoundDataGuard`, a
-  :class:`~repro.core.certifier.Certifier` and a
-  :class:`~repro.core.agent.TwoPCAgent`;
-* a set of :class:`~repro.core.coordinator.Coordinator` instances, each
-  with a (possibly drifting) site clock;
+* per site: guard, LTM, certifier and 2PC Agent, from
+  :func:`repro.core.assembly.build_site`;
+* a set of coordinators, each with a (possibly drifting) site clock,
+  from :func:`repro.core.assembly.build_coordinator`;
 * the :class:`~repro.net.network.Network` and the shared
   :class:`~repro.history.model.History` recorder.
+
+Every role boots at the end of the build (the simulator's routes exist
+from the start); over reopened durable logs that is a recovery.
 
 The ``method`` string selects the transaction-management method:
 
@@ -52,6 +53,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from repro.common.errors import ConfigError, RefusalReason, TransactionAborted
 from repro.common.ids import SubtxnId, TxnId, local_txn
 from repro.core.agent import AgentConfig, TwoPCAgent
+from repro.core.assembly import build_coordinator, build_site, build_sn_source
 from repro.core.certifier import Certifier, CertifierConfig
 from repro.core.coordinator import (
     Coordinator,
@@ -60,9 +62,6 @@ from repro.core.coordinator import (
     Scheduler,
 )
 
-if TYPE_CHECKING:
-    from repro.durability.config import DurabilityConfig
-from repro.core.serial import SiteClock, make_sn_generator
 from repro.history.model import History
 from repro.kernel.events import Event, EventKernel
 from repro.kernel.process import Process, Sleep
@@ -76,6 +75,9 @@ from repro.net.reliable import ReliableConfig, SessionLayer
 from repro.overload.admission import AdmissionController
 from repro.overload.breaker import BreakerRegistry
 from repro.overload.config import OverloadConfig
+
+if TYPE_CHECKING:
+    from repro.durability.config import DurabilityConfig
 
 METHODS = (
     "2cm",
@@ -235,42 +237,24 @@ class MultidatabaseSystem:
         self.ltms: Dict[str, LocalTransactionManager] = {}
         self.guards: Dict[str, BoundDataGuard] = {}
         self.agents: Dict[str, TwoPCAgent] = {}
-
-        cert_config = CertifierConfig(engine=config.certifier_engine)
         static_denied = (
             frozenset(config.cgm_gu_tables)
             if config.method == "cgm"
             else frozenset()
         )
         for site in config.sites:
-            guard = BoundDataGuard(
-                self.kernel,
-                policy=config.dlu_policy,
-                wait_timeout=config.dlu_wait_timeout,
-                statically_denied_tables=static_denied,
-            )
-            ltm = LocalTransactionManager(
-                site,
-                self.kernel,
-                self.history,
-                config=config.ltm_overrides.get(site, config.ltm),
-                dlu_guard=guard,
-            )
-            agent_log = None
-            if config.durability is not None:
-                from repro.durability.agent_log import DurableAgentLog
-
-                agent_log = DurableAgentLog.open_site(site, config.durability)
-            agent = TwoPCAgent(
+            agent = build_site(
                 site,
                 self.kernel,
                 self.transport,
                 self.history,
-                ltm,
-                Certifier(site, cert_config),
-                dlu_guard=guard,
+                ltm_config=config.ltm_overrides.get(site, config.ltm),
                 config=config.agent_overrides.get(site, config.agent),
-                log=agent_log,
+                certifier_config=CertifierConfig(engine=config.certifier_engine),
+                dlu_policy=config.dlu_policy,
+                dlu_wait_timeout=config.dlu_wait_timeout,
+                static_denied=static_denied,
+                durability=config.durability,
                 overload=config.overload,
                 overload_seed=config.seed ^ zlib.crc32(site.encode()),
             )
@@ -280,24 +264,14 @@ class MultidatabaseSystem:
                         s, self.kernel.now
                     )
                 )
-            self.guards[site] = guard
-            self.ltms[site] = ltm
+            self.guards[site] = agent.dlu_guard
+            self.ltms[site] = agent.ltm
             self.agents[site] = agent
 
         # The paper's site clocks; ``ticket`` (S19) is the centralized
         # counter it argues against.
-        sn_kind = "counter" if config.method == "ticket" else "clock"
-        clocks = {}
-        coordinator_sites = [
-            f"c{i + 1}" for i in range(config.n_coordinators)
-        ]
-        for coord_site in coordinator_sites:
-            clocks[coord_site] = SiteClock(
-                coord_site,
-                offset=config.clock_offsets.get(coord_site, 0.0),
-                rate=config.clock_rates.get(coord_site, 0.0),
-            )
-        self.sn_generator = make_sn_generator(sn_kind, self.kernel, clocks)
+        ticket = config.method == "ticket"
+        self.sn_generator = build_sn_source(self.kernel, ticket=ticket)
 
         scheduler: Optional[Scheduler] = None
         if config.method == "cgm":
@@ -317,14 +291,8 @@ class MultidatabaseSystem:
         self.scheduler = scheduler
 
         self.coordinators: List[Coordinator] = []
-        for coord_site in coordinator_sites:
-            decision_log = None
-            if config.durability is not None:
-                from repro.durability.decision_log import DurableDecisionLog
-
-                decision_log = DurableDecisionLog.open_name(
-                    coord_site, config.durability
-                )
+        for i in range(config.n_coordinators):
+            coord_site = f"c{i + 1}"
             admission = None
             if config.overload is not None:
                 admission = AdmissionController(
@@ -332,17 +300,18 @@ class MultidatabaseSystem:
                     seed=config.seed ^ zlib.crc32(coord_site.encode()) ^ 0xAD51,
                 )
             self.coordinators.append(
-                Coordinator(
-                    name=coord_site,
-                    site=coord_site,
-                    kernel=self.kernel,
-                    network=self.transport,
-                    history=self.history,
-                    sn_generator=self.sn_generator,
-                    sn_at_begin=(config.method == "ticket"),
+                build_coordinator(
+                    coord_site,
+                    self.kernel,
+                    self.transport,
+                    self.history,
+                    self.sn_generator,
+                    wall=config.clock_offsets.get(coord_site, 0.0),
+                    rate=config.clock_rates.get(coord_site, 0.0),
+                    durability=config.durability,
+                    sn_at_begin=ticket,
                     scheduler=scheduler,
                     timeouts=config.coordinator_timeouts,
-                    decision_log=decision_log,
                     overload=config.overload,
                     admission=admission,
                     breakers=self.breakers,
@@ -392,6 +361,13 @@ class MultidatabaseSystem:
         ablation = ABLATIONS.get("naive" if config.method == "cgm" else config.method)
         if ablation is not None:
             ablation.apply(self)
+
+        # Boot every role (core.assembly): the simulator's routes exist
+        # already.  With durability this replays the reopened logs.
+        for agent in self.agents.values():
+            agent.boot()
+        for coordinator in self.coordinators:
+            coordinator.resume_in_doubt()
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.errors import ConfigError
 from repro.common.ids import SerialNumber
@@ -47,6 +47,10 @@ class SNGenerator:
 
     def generate(self, site: str) -> SerialNumber:  # pragma: no cover
         raise NotImplementedError
+
+    def add_site(self, clock: SiteClock) -> None:
+        """Register a coordinator site's clock; a source that reads no
+        site clock (the central counter) ignores it."""
 
 
 class RealTimeClockSN(SNGenerator):
@@ -83,15 +87,3 @@ class CentralCounterSN(SNGenerator):
     def generate(self, site: str) -> SerialNumber:
         return SerialNumber(clock=float(next(self._counter)), site="central", seq=0)
 
-
-def make_sn_generator(
-    kind: str,
-    kernel: EventKernel,
-    clocks: Optional[Dict[str, SiteClock]] = None,
-) -> SNGenerator:
-    """Factory used by the system builder (``clock``/``counter``)."""
-    if kind == "clock":
-        return RealTimeClockSN(kernel, clocks or {})
-    if kind == "counter":
-        return CentralCounterSN()
-    raise ConfigError(f"unknown SN generator kind {kind!r}")

@@ -205,6 +205,16 @@ class LocalTransactionManager:
         self._txns[subtxn] = _TxnRecord(handle=handle)
         return handle
 
+    def restore(self, subtxn: SubtxnId, committed: bool) -> None:
+        """Re-create a subtransaction a previous process of this LDBS
+        ran: committed if its local commit is in the LDBS's own log,
+        otherwise it died with that process (a unilateral abort)."""
+        self.begin(subtxn)
+        if committed:
+            self._txns[subtxn].state = TxnState.COMMITTED
+        else:
+            self.unilaterally_abort(subtxn)
+
     def state_of(self, subtxn: SubtxnId) -> TxnState:
         return self._record(subtxn).state
 

@@ -1,21 +1,14 @@
 """Runtime processes: one 2PC Agent or one Coordinator per OS process.
 
 ``python -m repro serve agent --site branch1`` /
-``python -m repro serve coordinator --name c1`` build the *unmodified*
-protocol objects from ``core/`` against a
+``python -m repro serve coordinator --name c1`` build their role with
+:mod:`repro.core.assembly`, as the simulator does, against a
 :class:`~repro.rt.host.ProtocolHost` (realtime kernel + TCP transport
-+ session layer) and the durability subsystem's WAL as the real
-recovery log:
-
-- an agent opens ``DurableAgentLog`` under its data root, replays its
-  history journal into the committed store image, pre-seeds the LTM
-  with each logged subtransaction's terminal state, and enters via
-  ``agent.crash()`` + ``agent.recover(log)`` — the same code path the
-  simulator's crash matrix exercises — once the launcher delivers the
-  route table;
-- a coordinator opens ``DurableDecisionLog``, floors its SN clock
-  above the log's SN high-water, and calls ``resume_in_doubt()`` when
-  its routes arrive, re-driving logged decisions whose acks are missing.
++ session layer) with the durability subsystem's WAL as the real
+recovery log.  An agent also replays its history journal: the
+committed store image, and which logged subtransactions committed.
+Both boot when the launcher's route table arrives; until then an
+agent leaves inbound protocol traffic unacknowledged.
 
 Readiness handshake: after the listener is bound (port 0 welcome) the
 process prints exactly one status line on stdout — a JSON object under
@@ -23,36 +16,28 @@ process prints exactly one status line on stdout — a JSON object under
 Launchers block on that line instead of sleep-polling.
 
 Control plane (``FRAME_CONTROL`` frames addressed ``ctl:...``):
-``routes`` installs the peer table (and triggers recovery /
-``resume_in_doubt``), ``submit`` runs one global transaction and
-replies with its outcome, ``arm-kill`` installs a crash probe that
-SIGKILLs the process at an exact protocol point, ``stats`` reports
-counters and store sums, ``quit`` shuts down cleanly.
+``routes`` installs the peer table and boots the role, ``submit`` runs
+one global transaction and replies with its outcome, ``arm-kill``
+installs a crash probe that SIGKILLs the process at an exact protocol
+point, ``stats`` reports counters and store sums, ``quit`` shuts down
+cleanly.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import signal
 import sys
 import time
 from typing import List, Optional
 
-from repro.common.ids import SerialNumber, SubtxnId
-from repro.core.agent import CRASH_POINTS, TwoPCAgent
-from repro.core.certifier import Certifier, CertifierConfig
-from repro.core.coordinator import COORDINATOR_KILL_POINTS, Coordinator
-from repro.core.serial import SiteClock, make_sn_generator
-from repro.durability.agent_log import DurableAgentLog
-from repro.durability.decision_log import DurableDecisionLog
+from repro.core.agent import CRASH_POINTS
+from repro.core.assembly import build_coordinator, build_site, build_sn_source
+from repro.core.coordinator import COORDINATOR_KILL_POINTS
 from repro.durability.segments import DiskFault
 from repro.history.model import History
-from repro.kernel.events import EventKernel
-from repro.ldbs.dlu import BoundDataGuard, DLUPolicy
-from repro.ldbs.ltm import LocalTransactionManager, TxnState
 from repro.rt.host import ProtocolHost
 from repro.rt.journal import (
     HistoryJournal,
@@ -108,26 +93,6 @@ def resolve_coordinator_kill_point(at: str) -> str:
     return at
 
 
-def coordinator_clock(
-    name: str,
-    kernel: EventKernel,
-    high_water: Optional[SerialNumber],
-    wall: float,
-) -> SiteClock:
-    """One coordinator incarnation's SN clock.
-
-    It reads ``wall`` (the wall clock at boot) plus the kernel's time
-    since, so coordinators on different processes draw comparable SNs.
-    It never reads at or below ``high_water``, the decision log's
-    largest SN: a respawn stays above every commit its predecessor
-    sealed, even after the wall clock stepped back.
-    """
-    offset = wall - kernel.now
-    if high_water is not None:
-        offset = max(offset, math.nextafter(high_water.clock, math.inf))
-    return SiteClock(name, offset=offset)
-
-
 def fail_stop_on_disk_fault(exc: BaseException) -> None:
     """A process that cannot persist must stop participating *now*.
 
@@ -145,7 +110,11 @@ def _parse_listen(listen: str):
 
 
 class _NodeBase:
-    """Shared lifecycle: host, journal, status line, control replies."""
+    """Shared lifecycle: host, journal, status line, control plane.
+
+    A role defines ``boot()``, its recovery step, run when the route
+    table arrives, and ``arm_kill(at, after)``.
+    """
 
     role = "node"
 
@@ -173,6 +142,7 @@ class _NodeBase:
         self.journal.attach(self.history)
         self.stop = asyncio.Event()
         self.routes_installed = False
+        self.kills_armed = 0
 
     async def start(self, listen: str, json_mode: bool) -> None:
         host, port = _parse_listen(listen)
@@ -228,6 +198,65 @@ class _NodeBase:
         response.setdefault("from", self.name)
         self.host.wire.send_control(reply["address"], response)
 
+    def _on_control(self, body: dict) -> None:
+        op = body.get("op")
+        if op == "routes":
+            self.install_routes(body.get("peers", ()))
+            self.boot()
+            self.reply_to(body, {"op": "routes-ok"})
+        elif op == "arm-kill":
+            point = self.arm_kill(body.get("at"), int(body.get("after", 1)))
+            self.reply_to(body, {"op": "armed", "point": point})
+        elif op == "stats":
+            self.reply_to(body, {"op": "stats", "stats": self.stats()})
+        elif op == "quit":
+            self.request_stop()
+
+    def _kill_at(self, point: str, after: int):
+        """A probe that SIGKILLs this process at the ``after``-th hit of
+        ``point``: a genuine SIGKILL at the exact protocol point.  The
+        WAL and the journal flush on every append, so everything the
+        protocol acted on before this instant is on disk — and nothing
+        after it."""
+        self.kills_armed += 1
+        remaining = [max(1, after)]
+
+        def probe(hit_point: str, _txn) -> bool:
+            if hit_point == point:
+                remaining[0] -= 1
+                if remaining[0] == 0:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return False
+
+        return probe
+
+    def _stats(self, wal, **fields) -> dict:
+        """The ``stats`` reply: the role's ``fields`` plus what every
+        node reports."""
+        session = self.host.session
+        return dict(
+            fields,
+            role=self.role,
+            pid=os.getpid(),
+            boot=self.host.wire.boot_id,
+            kills_armed=self.kills_armed,
+            session={
+                "retransmits": session.retransmits,
+                "session_resets": session.session_resets,
+                "dups_dropped": session.dups_dropped,
+                "dead_letters": len(session.dead_letters),
+            },
+            peer_resets=self.host.peer_resets,
+            journal_ops=self.journal.appended,
+            wire=self.host.wire.stats(),
+            wal={
+                "recovery_clean": wal.recovery.clean,
+                "damaged_segment": wal.recovery.damaged_segment,
+                "repaired_files": wal.repaired_files,
+                "disk_fault_fired": wal.disk_fault_fired,
+            },
+        )
+
     def request_stop(self) -> None:
         self.stop.set()
 
@@ -247,60 +276,29 @@ class AgentNode(_NodeBase):
         super().__init__(f"agent-{site}", data_root, tuning)
         self.site = site
         self.bank = bank
-        kernel = self.kernel
-        self.guard = BoundDataGuard(
-            kernel, policy=DLUPolicy.ABORT, wait_timeout=tuning.lock_timeout
-        )
-        self.ltm = LocalTransactionManager(
+        replayed, committed_subs = committed_state(self.prior_ops)
+        self.agent = build_site(
             site,
-            kernel,
+            self.kernel,
+            self.host.transport,
             self.history,
-            config=tuning.ltm_config(),
-            dlu_guard=self.guard,
+            ltm_config=tuning.ltm_config(),
+            config=tuning.agent_config(),
+            dlu_wait_timeout=tuning.lock_timeout,
+            durability=tuning.durability_config(data_root, owner=site),
+            committed=committed_subs,
         )
+        self.ltm = self.agent.ltm
+        self.log = self.agent.log
         # The in-memory store died with the previous incarnation:
         # deterministic initial tables + the journal's committed image.
         for table, rows in bank.initial_tables(site).items():
             self.ltm.store.load(table, dict(rows))
-        replayed, committed_subs = committed_state(self.prior_ops)
         for item, value in replayed.items():
             if value is not None:
                 self.ltm.store.load(item.table, {item.key: value})
-        self.certifier = Certifier(site, CertifierConfig())
-        self.log = DurableAgentLog.open_site(
-            site, tuning.durability_config(data_root, owner=site)
-        )
         self.wal_entries_at_boot = len(list(self.log.entries()))
-        # Pre-seed the LTM with each logged subtransaction's terminal
-        # state, so ``agent.recover()`` finds the handles it expects: a
-        # locally-committed incarnation is COMMITTED (recovery re-acks
-        # it), anything else died with the process (unilateral abort,
-        # recovery resubmits it — the paper's re-execution).
-        for entry in self.log.entries():
-            sub = SubtxnId(entry.txn, site, entry.incarnations - 1)
-            self.ltm.begin(sub)
-            if sub in committed_subs:
-                self.ltm._txns[sub].state = TxnState.COMMITTED
-            else:
-                self.ltm.unilaterally_abort(sub)
-        self.agent = TwoPCAgent(
-            site,
-            kernel,
-            self.host.transport,
-            self.history,
-            self.ltm,
-            self.certifier,
-            dlu_guard=self.guard,
-            config=tuning.agent_config(),
-        )
-        # Hold inbound protocol traffic (unacked, so peers keep
-        # retransmitting) until routes arrive and recovery replays the
-        # WAL; ``crash()`` + ``recover()`` is the simulator's own
-        # restart path and re-enters PREPARED state, re-acks, resubmits.
-        self.agent.crash()
         self.recovered_at_boot = 0
-        self._recovery_done = False
-        self.kills_armed = 0
         self.host.wire.register_control(agent_control(site), self._on_control)
 
     def status(self, bound) -> dict:
@@ -310,85 +308,39 @@ class AgentNode(_NodeBase):
         status["wal_entries"] = self.wal_entries_at_boot
         return status
 
-    def _on_control(self, body: dict) -> None:
-        op = body.get("op")
-        if op == "routes":
-            self.install_routes(body.get("peers", ()))
-            if not self._recovery_done:
-                self._recovery_done = True
-                self.recovered_at_boot = self.agent.recover(self.log)
-            self.reply_to(body, {"op": "routes-ok"})
-        elif op == "arm-kill":
-            point = resolve_kill_point(body.get("at", "prepared"))
-            self._arm_kill(point, int(body.get("after", 1)))
-            self.reply_to(body, {"op": "armed", "point": point})
-        elif op == "stats":
-            self.reply_to(body, {"op": "stats", "stats": self.stats()})
-        elif op == "quit":
-            self.request_stop()
+    def boot(self) -> None:
+        # A no-op once the agent is up (a repeated route table).
+        self.recovered_at_boot += self.agent.boot()
 
-    def _arm_kill(self, point: str, after: int) -> None:
-        """SIGKILL this process at the ``after``-th hit of ``point``.
-
-        A genuine SIGKILL at the exact protocol point: the WAL and the
-        journal flush on every append, so everything the protocol acted
-        on before this instant is on disk — and nothing after it.
-        """
-        self.kills_armed += 1
-        remaining = {"n": max(1, after)}
-
-        def probe(hit_point: str, _txn) -> bool:
-            if hit_point != point:
-                return False
-            remaining["n"] -= 1
-            if remaining["n"] > 0:
-                return False
-            os.kill(os.getpid(), signal.SIGKILL)
-            return True  # unreachable
-
-        self.agent.crash_probe = probe
+    def arm_kill(self, at: Optional[str], after: int) -> str:
+        point = resolve_kill_point(at or "prepared")
+        self.agent.crash_probe = self._kill_at(point, after)
+        return point
 
     def stats(self) -> dict:
-        session = self.host.session
-        return {
-            "role": "agent",
-            "site": self.site,
-            "pid": os.getpid(),
-            "boot": self.host.wire.boot_id,
-            "wal_entries_at_boot": self.wal_entries_at_boot,
-            "recovered_at_boot": self.recovered_at_boot,
-            "restarts": self.agent.restarts,
-            "inquiries_sent": self.agent.inquiries_sent,
+        return self._stats(
+            self.log.wal,
+            site=self.site,
+            wal_entries_at_boot=self.wal_entries_at_boot,
+            recovered_at_boot=self.recovered_at_boot,
+            crashes=self.agent.crashes,
+            restarts=self.agent.restarts,
+            inquiries_sent=self.agent.inquiries_sent,
             # Entries not yet DONE: while any remain, in-place writes of
             # undecided subtransactions are visible in ``tables`` and the
             # bank invariants are not yet meaningful (verifiers poll this
             # down to zero before checking totals).
-            "open_txns": self.agent.open_txn_count(),
-            "tables": {
+            open_txns=self.agent.open_txn_count(),
+            tables={
                 table: sum(self.ltm.store.snapshot(table).values())
                 for table in ("accounts", "tellers", "branch")
             },
-            "ltm": {
+            ltm={
                 "commits": self.ltm.commits,
                 "aborts": self.ltm.aborts,
                 "unilateral_aborts": self.ltm.unilateral_aborts,
             },
-            "session": {
-                "retransmits": session.retransmits,
-                "session_resets": session.session_resets,
-                "dups_dropped": session.dups_dropped,
-                "dead_letters": len(session.dead_letters),
-            },
-            "peer_resets": self.host.peer_resets,
-            "journal_ops": self.journal.appended,
-            "wire": self.host.wire.stats(),
-            "wal": {
-                "recovery_clean": self.log.wal.recovery.clean,
-                "damaged_segment": self.log.wal.recovery.damaged_segment,
-                "repaired_files": self.log.wal.repaired_files,
-                "disk_fault_fired": self.log.wal.disk_fault_fired,
-            },
-        }
+        )
 
     async def close(self) -> None:
         await super().close()
@@ -399,8 +351,8 @@ class CoordinatorNode(_NodeBase):
     """One Coordinating Site, decision-logged and resumable.
 
     Its SNs are the paper's site-clock readings extended with its name,
-    from :func:`coordinator_clock`; any number of these may run side by
-    side.
+    from :func:`repro.core.assembly.coordinator_clock`; any number of
+    these may run side by side.
     """
 
     role = "coordinator"
@@ -408,28 +360,22 @@ class CoordinatorNode(_NodeBase):
     def __init__(self, name: str, data_root: str, tuning: RtTuning) -> None:
         super().__init__(f"coord-{name}", data_root, tuning)
         self.coord_name = name
-        self.decision_log = DurableDecisionLog.open_name(
-            name, tuning.durability_config(data_root, owner=name)
-        )
-        self.in_doubt_at_boot = len(self.decision_log.in_doubt())
-        clock = coordinator_clock(
-            name, self.kernel, self.decision_log.sn_high_water, time.time()
-        )
-        self.sn_generator = make_sn_generator("clock", self.kernel, {name: clock})
-        self.coordinator = Coordinator(
-            name=name,
-            site=name,
-            kernel=self.kernel,
-            network=self.host.transport,
-            history=self.history,
-            sn_generator=self.sn_generator,
+        self.sn_generator = build_sn_source(self.kernel)
+        self.coordinator = build_coordinator(
+            name,
+            self.kernel,
+            self.host.transport,
+            self.history,
+            self.sn_generator,
+            wall=time.time(),
+            durability=tuning.durability_config(data_root, owner=name),
             timeouts=tuning.coordinator_timeouts(),
-            decision_log=self.decision_log,
         )
+        self.decision_log = self.coordinator.decision_log
+        self.in_doubt_at_boot = len(self.decision_log.in_doubt())
         self.resumed_at_boot = 0
         self._pending_submits: List[dict] = []
         self.submitted = 0
-        self.kills_armed = 0
         self.host.wire.register_control(
             coordinator_control(name), self._on_control
         )
@@ -441,137 +387,83 @@ class CoordinatorNode(_NodeBase):
         return status
 
     def _on_control(self, body: dict) -> None:
-        op = body.get("op")
-        if op == "routes":
-            self.install_routes(body.get("peers", ()))
-            # Now that agents are reachable, re-drive logged decisions
-            # whose acks never landed.
-            self.resumed_at_boot += self.coordinator.resume_in_doubt()
-            pending, self._pending_submits = self._pending_submits, []
-            for queued in pending:
-                self._submit(queued)
-            self.reply_to(body, {"op": "routes-ok"})
-        elif op == "arm-kill":
-            point = resolve_coordinator_kill_point(
-                body.get("at", "decision_logged")
-            )
-            self._arm_kill(point, int(body.get("after", 1)))
-            self.reply_to(body, {"op": "armed", "point": point})
-        elif op == "submit":
-            if not self.routes_installed:
-                # Raced ahead of the launcher's route table: hold it.
-                self._pending_submits.append(body)
-            else:
-                self._submit(body)
-        elif op == "stats":
-            self.reply_to(body, {"op": "stats", "stats": self.stats()})
-        elif op == "quit":
-            self.request_stop()
+        if body.get("op") != "submit":
+            super()._on_control(body)
+        elif not self.routes_installed:
+            # Raced ahead of the launcher's route table: hold it.
+            self._pending_submits.append(body)
+        else:
+            self._submit(body)
 
-    def _arm_kill(self, point: str, after: int) -> None:
-        """SIGKILL this coordinator at the ``after``-th hit of ``point``.
+    def boot(self) -> None:
+        # Now that agents are reachable, re-drive logged decisions whose
+        # acks never landed, then the submits that came before routes.
+        self.resumed_at_boot += self.coordinator.resume_in_doubt()
+        pending, self._pending_submits = self._pending_submits, []
+        for queued in pending:
+            self._submit(queued)
 
-        The three COORDINATOR_KILL_POINTS bracket the DECISION record:
+    def arm_kill(self, at: Optional[str], after: int) -> str:
+        """The three COORDINATOR_KILL_POINTS bracket the DECISION record:
         ``sn_drawn`` dies with nothing logged, ``decision_logged`` dies
         with the decision forced but **zero** COMMITs sent (the widest
         in-doubt window), ``mid_broadcast`` dies with the broadcast
-        half-delivered.  In every case the respawned incarnation must
-        replay ``DurableDecisionLog`` and ``resume_in_doubt()`` must
-        finish delivery — that is exactly what the chaos drill asserts.
-        """
-        self.kills_armed += 1
-        remaining = {"n": max(1, after)}
-
-        def probe(hit_point: str, _txn) -> None:
-            if hit_point != point:
-                return
-            # mid_broadcast only ever fires on >= 2 participants, so a
-            # countdown hit here is always a genuine half-sent state.
-            remaining["n"] -= 1
-            if remaining["n"] > 0:
-                return
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        self.coordinator.kill_probe = probe
+        half-delivered (it only fires on >= 2 participants).  In every
+        case the respawned incarnation must replay ``DurableDecisionLog``
+        and ``resume_in_doubt()`` must finish delivery — that is exactly
+        what the chaos drill asserts."""
+        point = resolve_coordinator_kill_point(at or "decision_logged")
+        self.coordinator.kill_probe = self._kill_at(point, after)
+        return point
 
     def _submit(self, body: dict) -> None:
         spec = body["spec"]
         self.submitted += 1
 
-        def finished(event) -> None:
-            if event.error is not None:
-                self.reply_to(
-                    body,
-                    {
-                        "op": "outcome",
-                        "txn": spec.txn.number,
-                        "committed": False,
-                        "reason": f"error: {event.error}",
-                    },
-                )
-                return
-            outcome = event.value
+        def reply(committed: bool, reason, **fields) -> None:
             self.reply_to(
                 body,
-                {
-                    "op": "outcome",
-                    "txn": spec.txn.number,
-                    "committed": outcome.committed,
-                    "reason": (
-                        str(outcome.reason)
-                        if outcome.reason is not None
-                        else None
-                    ),
-                    "sn": str(outcome.sn) if outcome.sn is not None else None,
-                    "latency": outcome.latency,
-                },
+                dict(
+                    fields,
+                    op="outcome",
+                    txn=spec.txn.number,
+                    committed=committed,
+                    reason=reason,
+                ),
+            )
+
+        def finished(event) -> None:
+            if event.error is not None:
+                reply(False, f"error: {event.error}")
+                return
+            outcome, sn = event.value, event.value.sn
+            reply(
+                outcome.committed,
+                None if outcome.reason is None else str(outcome.reason),
+                # Exact through JSON; str(sn) keeps six digits, so
+                # wall-clock SNs seconds apart would print alike.
+                sn=None if sn is None else [sn.clock, sn.site, sn.seq],
+                latency=outcome.latency,
             )
 
         try:
             self.coordinator.submit(spec).subscribe(finished)
         except Exception as exc:
-            self.reply_to(
-                body,
-                {
-                    "op": "outcome",
-                    "txn": spec.txn.number,
-                    "committed": False,
-                    "reason": f"submit failed: {exc}",
-                },
-            )
+            reply(False, f"submit failed: {exc}")
 
     def stats(self) -> dict:
-        session = self.host.session
-        return {
-            "role": "coordinator",
-            "name": self.coord_name,
-            "pid": os.getpid(),
-            "boot": self.host.wire.boot_id,
-            "submitted": self.submitted,
-            "committed": self.coordinator.committed,
-            "aborted": self.coordinator.aborted,
-            "in_doubt_at_boot": self.in_doubt_at_boot,
-            "resumed_at_boot": self.resumed_at_boot,
-            "decisions": len(self.decision_log.decisions()),
-            "inquiries": self.coordinator.inquiries,
-            "inquiries_presumed_abort": self.coordinator.inquiries_presumed_abort,
-            "kills_armed": self.kills_armed,
-            "session": {
-                "retransmits": session.retransmits,
-                "session_resets": session.session_resets,
-                "dups_dropped": session.dups_dropped,
-                "dead_letters": len(session.dead_letters),
-            },
-            "peer_resets": self.host.peer_resets,
-            "journal_ops": self.journal.appended,
-            "wire": self.host.wire.stats(),
-            "wal": {
-                "recovery_clean": self.decision_log.wal.recovery.clean,
-                "damaged_segment": self.decision_log.wal.recovery.damaged_segment,
-                "repaired_files": self.decision_log.wal.repaired_files,
-                "disk_fault_fired": self.decision_log.wal.disk_fault_fired,
-            },
-        }
+        return self._stats(
+            self.decision_log.wal,
+            name=self.coord_name,
+            submitted=self.submitted,
+            committed=self.coordinator.committed,
+            aborted=self.coordinator.aborted,
+            in_doubt_at_boot=self.in_doubt_at_boot,
+            resumed_at_boot=self.resumed_at_boot,
+            decisions=len(self.decision_log.decisions()),
+            inquiries=self.coordinator.inquiries,
+            inquiries_presumed_abort=self.coordinator.inquiries_presumed_abort,
+        )
 
     async def close(self) -> None:
         await super().close()

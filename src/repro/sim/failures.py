@@ -427,7 +427,7 @@ def invariant_battery(
         agent = system.agent(site)
         orphans = sorted(
             str(state.txn)
-            for state in agent._txns.values()
+            for state in agent._states.values()
             if state.phase is AgentPhase.PREPARED
         )
         if orphans:

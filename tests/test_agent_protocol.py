@@ -272,7 +272,7 @@ class TestCommitDuringResubmission:
         drain(system)
         assert done.value.committed
         # Exactly one replacement incarnation, nothing leaked.
-        state = system.agent("a")._txns[global_txn(1)]
+        state = system.agent("a")._states[global_txn(1)]
         assert state.incarnations == 2
         assert system.ltm("a").active_txns() == []
         assert audit(system).ok

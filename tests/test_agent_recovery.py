@@ -190,7 +190,7 @@ class TestRedeliveredBegin:
             MsgType.BEGIN, src="coord:c1", dst=agent.address, txn=global_txn(7)
         )
         agent._on_message(begin)
-        assert global_txn(7) in agent._txns
+        assert global_txn(7) in agent._states
         agent.crash()
         agent.recover()
         agent._on_message(begin)  # redelivered: dropped, no error

@@ -331,7 +331,7 @@ class TestDoneTxnGC:
         forgotten = 0
         for agent in result.system.agents.values():
             forgotten += agent.done_forgotten
-            for state in agent._txns.values():
+            for state in agent._states.values():
                 # Anything still tracked is not a sealed DONE entry.
                 assert state.phase is not AgentPhase.DONE
         assert forgotten > 0
@@ -342,7 +342,7 @@ class TestDoneTxnGC:
         kept = sum(
             1
             for agent in result.system.agents.values()
-            for state in agent._txns.values()
+            for state in agent._states.values()
             if state.phase is AgentPhase.DONE
         )
         assert kept > 0

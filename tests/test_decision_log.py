@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.ids import SerialNumber, global_txn
+from repro.core.assembly import coordinator_clock
 from repro.core.serial import RealTimeClockSN
 from repro.durability import Decision, DurabilityConfig, DurableDecisionLog
 from repro.durability.decision_log import coordinator_wal_directory
 from repro.durability.records import RecordKind, WalRecord
 from repro.durability.segments import segment_name, write_segment
-from repro.rt.node import CoordinatorNode, coordinator_clock
+from repro.rt.node import CoordinatorNode
 from repro.rt.tuning import RtTuning
 
 

@@ -132,7 +132,7 @@ class TestInvariantBattery:
         system = MultidatabaseSystem(SystemConfig(sites=("a", "b")))
         try:
             agent = system.agent("a")
-            agent._txns["T9"] = types.SimpleNamespace(
+            agent._states["T9"] = types.SimpleNamespace(
                 txn="T9", phase=AgentPhase.PREPARED
             )
             violations = invariant_battery(system)

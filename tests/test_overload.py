@@ -624,7 +624,7 @@ class TestEagerRetryCoalescing:
                 phase=AgentPhase.PREPARED,
                 commit_pending=True,
             )
-            agent._txns[state.txn] = state
+            agent._states[state.txn] = state
             return state
 
         def finalizable(n):

@@ -8,7 +8,6 @@ from repro.core.serial import (
     CentralCounterSN,
     RealTimeClockSN,
     SiteClock,
-    make_sn_generator,
 )
 from repro.kernel import EventKernel
 
@@ -87,16 +86,3 @@ class TestCentralCounterSN:
     def test_site_field_is_central(self):
         assert CentralCounterSN().generate("c1").site == "central"
 
-
-class TestFactory:
-    def test_kinds(self):
-        kernel = EventKernel()
-        assert isinstance(
-            make_sn_generator("clock", kernel, {"c1": SiteClock("c1")}),
-            RealTimeClockSN,
-        )
-        assert isinstance(make_sn_generator("counter", kernel), CentralCounterSN)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            make_sn_generator("sundial", EventKernel())

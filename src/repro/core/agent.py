@@ -199,6 +199,10 @@ class TwoPCAgent:
             else None
         )
         self._states: Dict[TxnId, _AgentTxn] = {}
+        #: The entries of ``_states`` not yet DONE, in the same order.
+        #: The per-PREPARE and per-finalize walks visit only these, so
+        #: their cost follows the open load, not the agent's age.
+        self._open: Dict[TxnId, _AgentTxn] = {}
         #: PREPAREs queued within one kernel step (batch_prepares only).
         self._prepare_queue: List[Message] = []
         self._prepare_flush_armed = False
@@ -317,6 +321,7 @@ class TwoPCAgent:
             deadline=msg.deadline,
         )
         self._states[msg.txn] = state
+        self._open[msg.txn] = state
         self.log.open(msg.txn, coordinator=msg.src)
         self._arm_orphan_timer(state)
 
@@ -534,7 +539,7 @@ class TwoPCAgent:
 
     def _refresh_intervals(self) -> None:
         """Alive-check every prepared entry and extend live intervals."""
-        for other in self._states.values():
+        for other in self._open.values():
             if other.phase is not AgentPhase.PREPARED:
                 continue
             if other.uan or other.resubmitting:
@@ -892,6 +897,7 @@ class TwoPCAgent:
     def _finalize(self, state: _AgentTxn) -> None:
         was_in_table = self.certifier.contains(state.txn)
         state.phase = AgentPhase.DONE
+        self._open.pop(state.txn, None)
         state.commit_pending = False
         if state.alive_timer is not None:
             state.alive_timer.cancel()
@@ -912,7 +918,7 @@ class TwoPCAgent:
             # most one eager retry per subtransaction is ever queued, so
             # a burst of finalizations cannot build a thundering herd of
             # redundant certify_commit calls against the same entry.
-            for other in list(self._states.values()):
+            for other in self._open.values():
                 if (
                     other.commit_pending
                     and other.phase is AgentPhase.PREPARED
@@ -968,6 +974,7 @@ class TwoPCAgent:
         self.network.note_endpoint_down(self.address)
         old_states = self._states
         self._states = {}
+        self._open = {}
         for state in old_states.values():
             if state.alive_timer is not None:
                 state.alive_timer.cancel()
@@ -1053,6 +1060,7 @@ class TwoPCAgent:
                 recovered=True,
             )
             self._states[entry.txn] = state
+            self._open[entry.txn] = state
             recovered += 1
             if entry.prepared:
                 state.phase = AgentPhase.PREPARED
@@ -1114,9 +1122,7 @@ class TwoPCAgent:
         Zero means quiescence: no undecided in-place writes, no held
         locks — the store totals are exactly the committed image.
         """
-        return sum(
-            1 for s in self._states.values() if s.phase is not AgentPhase.DONE
-        )
+        return len(self._open)
 
     def resubmissions_of(self, txn: TxnId) -> int:
         state = self._states.get(txn)

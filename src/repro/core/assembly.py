@@ -107,7 +107,8 @@ def build_coordinator(
 ) -> Coordinator:
     """A coordinator drawing from ``sn_source`` on its floored clock.
 
-    With ``durability`` its decision log is reopened (replayed) first.
+    With ``durability`` its decision log is reopened (replayed) first,
+    and ``sn_source`` draws strictly above its SN high-water.
     ``options`` go to :class:`Coordinator`.
     """
     decision_log = None
@@ -116,6 +117,8 @@ def build_coordinator(
 
         decision_log = DurableDecisionLog.open_name(name, durability)
     high_water = None if decision_log is None else decision_log.sn_high_water
+    if high_water is not None:
+        sn_source.floor(high_water)
     sn_source.add_site(coordinator_clock(name, kernel, high_water, wall, rate))
     return Coordinator(
         name, name, kernel, transport, history, sn_source,

@@ -22,6 +22,7 @@ sources "cumbersome ... in an autonomous environment"), serves the
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -51,6 +52,12 @@ class SNGenerator:
     def add_site(self, clock: SiteClock) -> None:
         """Register a coordinator site's clock; a source that reads no
         site clock (the central counter) ignores it."""
+
+    def floor(self, high_water: SerialNumber) -> None:
+        """Never again draw an SN at or below ``high_water``.  Site
+        clocks are floored one by one when they are built
+        (:func:`repro.core.assembly.coordinator_clock`); the central
+        counter, which reads none, floors itself here."""
 
 
 class RealTimeClockSN(SNGenerator):
@@ -82,8 +89,12 @@ class CentralCounterSN(SNGenerator):
     centralized (what the decentralized design avoids)."""
 
     def __init__(self) -> None:
-        self._counter = itertools.count(1)
+        self._next = 1
+
+    def floor(self, high_water: SerialNumber) -> None:
+        self._next = max(self._next, math.floor(high_water.clock) + 1)
 
     def generate(self, site: str) -> SerialNumber:
-        return SerialNumber(clock=float(next(self._counter)), site="central", seq=0)
+        ticket, self._next = self._next, self._next + 1
+        return SerialNumber(clock=float(ticket), site="central", seq=0)
 

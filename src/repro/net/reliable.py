@@ -123,6 +123,8 @@ class SessionLayer:
         self.out_of_order_buffered = 0
         self.session_resets = 0
         self.dropped_to_down = 0
+        #: In-order messages whose handler raised (each dead-lettered).
+        self.handler_errors = 0
         #: ``(message, why)`` pairs the sender gave up on.  Bounded like
         #: the network's list (see :meth:`_dead_letter`).
         self.dead_letters: List[Tuple[Message, str]] = []
@@ -367,13 +369,35 @@ class SessionLayer:
             self._ack(channel, state)
             return
         # In order: deliver, then drain whatever it unblocked.
-        handler(message)
-        state.expected += 1
+        failure = self._deliver(handler, message, state)
         while state.expected in state.buffer:
             parked = state.buffer.pop(state.expected)
-            state.expected += 1
-            handler(parked)
+            error = self._deliver(handler, parked, state)
+            failure = failure or error
         self._ack(channel, state)
+        if failure is not None:
+            # Cursor and ack are past the message; the transport still
+            # sees (and logs) the handler's error.
+            raise failure
+
+    def _deliver(
+        self, handler: Handler, message: Message, state: _RecvState
+    ) -> Optional[Exception]:
+        """Move the cursor past one in-order message and hand it up.
+
+        A handler that raises has still consumed its sequence number:
+        were the cursor left behind, every retransmit would re-run the
+        failing handler and the channel behind it would stall.  The
+        message is counted, dead-lettered and its error returned.
+        """
+        state.expected += 1
+        try:
+            handler(message)
+        except Exception as exc:
+            self.handler_errors += 1
+            self._dead_letter(message, f"handler raised {exc!r}")
+            return exc
+        return None
 
     def _ack(self, channel: Tuple[str, str], state: _RecvState) -> None:
         src, dst = channel

@@ -8,6 +8,11 @@ get a loopback delivery through the kernel, everything else is framed
 by :mod:`repro.rt.codec` and pushed onto a per-peer outbound queue
 drained by a writer task with reconnect + exponential backoff.
 
+Both directions work per wake-up, not per frame: the writer sends
+every frame queued for its peer with one ``write`` and one ``drain``,
+and the reader dispatches every frame of one ``read`` from one kernel
+callback, in arrival order.
+
 Connections are directional: each process dials its peers and keeps
 its own outbound connection; replies travel back on the *replier's*
 outbound connection, not this one. Both sides of every connection open
@@ -27,7 +32,7 @@ import sys
 import traceback
 import uuid
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.net.messages import Message
@@ -96,6 +101,9 @@ class TcpTransport:
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: Set[asyncio.Task] = set()
         self._closed = False
+        #: Dispatches collected while one read's frames are decoded;
+        #: ``None`` outside that loop (see :meth:`_defer`).
+        self._inbound: Optional[List[Callable[[], None]]] = None
         #: ``(host, port)`` actually bound (port 0 resolves here).
         self.bound: Optional[Route] = None
         #: Fired with ``(name, boot_id, body)`` on every HELLO frame.
@@ -177,7 +185,7 @@ class TcpTransport:
         body["dst"] = address
         if address in self._control_handlers:
             handler = self._control_handlers[address]
-            self.kernel.call_soon(lambda: self._invoke_control(handler, body))
+            self._defer(lambda: self._invoke_control(handler, body))
             return
         route = self._routes.get(address)
         if route is None:
@@ -211,7 +219,23 @@ class TcpTransport:
                 )
                 traceback.print_exc(file=sys.stderr)
 
-        self.kernel.call_soon(dispatch)
+        self._defer(dispatch)
+
+    def _defer(self, dispatch: Callable[[], None]) -> None:
+        """Run ``dispatch`` from the kernel: inside a read, as part of
+        that read's one callback; otherwise as a callback of its own."""
+        batch = self._inbound
+        if batch is None:
+            self.kernel.call_soon(dispatch)
+        else:
+            batch.append(dispatch)
+
+    @staticmethod
+    def _run_batch(batch: List[Callable[[], None]]) -> None:
+        # Each dispatch contains its handler's exceptions, so one bad
+        # message never costs the rest of the read.
+        for dispatch in batch:
+            dispatch()
 
     def _maybe_fatal(self, exc: BaseException) -> bool:
         if self.fatal_error_types and isinstance(exc, self.fatal_error_types):
@@ -243,7 +267,7 @@ class TcpTransport:
             if handler is None:
                 self.dropped_no_handler += 1
                 return
-            self.kernel.call_soon(lambda: self._invoke_control(handler, body))
+            self._defer(lambda: self._invoke_control(handler, body))
         elif kind == FRAME_HELLO:
             if self.on_hello is not None:
                 try:
@@ -259,12 +283,16 @@ class TcpTransport:
         if peer is None:
             peer = self._peers[route] = _Peer(route)
             peer.task = asyncio.ensure_future(self._peer_writer(peer))
-        if len(peer.queue) >= self.outbox_limit:
+        peer.queue.append(frame)
+        self._trim(peer)
+        peer.wake.set()
+
+    def _trim(self, peer: _Peer) -> None:
+        """Drop the oldest frames beyond ``outbox_limit``."""
+        while len(peer.queue) > self.outbox_limit:
             peer.queue.popleft()
             peer.dropped += 1
             self.outbox_dropped += 1
-        peer.queue.append(frame)
-        peer.wake.set()
 
     def _hello_body(self) -> dict:
         return {"name": self.name, "boot": self.boot_id}
@@ -306,13 +334,20 @@ class TcpTransport:
                 except asyncio.CancelledError:
                     return
                 continue
-            frame = peer.queue.popleft()
+            # Everything queued since the last wake-up leaves in one
+            # write; a single frame is written as is, not copied.
+            batch = list(peer.queue)
+            peer.queue.clear()
             try:
-                peer.writer.write(frame)
+                peer.writer.write(batch[0] if len(batch) == 1 else b"".join(batch))
                 await peer.writer.drain()
-                self.frames_sent += 1
+                self.frames_sent += len(batch)
             except (OSError, asyncio.CancelledError):
-                peer.queue.appendleft(frame)
+                # The peer may have got any prefix of the batch; resend
+                # all of it, in order, ahead of what queued meanwhile
+                # (the session layer drops the duplicates).
+                peer.queue.extendleft(reversed(batch))
+                self._trim(peer)
                 self._drop_peer_conn(peer)
 
     def _drop_peer_conn(self, peer: _Peer) -> None:
@@ -381,9 +416,15 @@ class TcpTransport:
                         file=sys.stderr,
                     )
                     break
-                for kind, body in frames:
-                    self.frames_received += 1
-                    self._dispatch_frame(kind, body)
+                batch = self._inbound = []
+                try:
+                    for kind, body in frames:
+                        self.frames_received += 1
+                        self._dispatch_frame(kind, body)
+                finally:
+                    self._inbound = None
+                    if batch:
+                        self.kernel.call_soon(lambda b=batch: self._run_batch(b))
         except (OSError, asyncio.CancelledError):
             pass
         finally:

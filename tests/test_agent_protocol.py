@@ -276,3 +276,51 @@ class TestCommitDuringResubmission:
         assert state.incarnations == 2
         assert system.ltm("a").active_txns() == []
         assert audit(system).ok
+
+
+class TestOpenEntryWalks:
+    def test_prepare_and_finalize_visit_only_open_entries(self):
+        """The alive-check refresh at PREPARE and the eager-retry wakeup
+        at finalize walk the open entries, not every entry the agent
+        has ever seen: after 300 finished globals, one more commit reads
+        none of them."""
+        system = build()
+        for n in range(1, 301):
+            system.submit(two_site_spec(number=n))
+            drain(system)
+        agent = system.agent("a")
+        assert len(agent._states) == 300 and agent.open_txn_count() == 0
+        # One global stays open at "a" (BEGIN and a command done, then
+        # a long think time before its step at "b").
+        opened = system.submit(
+            GlobalTransactionSpec(
+                txn=global_txn(301),
+                steps=(
+                    ("a", UpdateItem("t", "Y", AddValue(1))),
+                    ("b", UpdateItem("t", "Z", AddValue(1))),
+                ),
+                think_time=10_000.0,
+            )
+        )
+        system.run(until=system.now + 100.0)
+        assert agent.open_txn_count() == 1
+
+        touched = set()
+
+        class Watched(type(agent._states[global_txn(1)])):
+            def __getattribute__(self, name):
+                touched.add(object.__getattribute__(self, "txn"))
+                return object.__getattribute__(self, name)
+
+        for state in agent._states.values():
+            state.__class__ = Watched
+        done = system.submit(
+            GlobalTransactionSpec(
+                txn=global_txn(302), steps=(("a", UpdateItem("t", "X", AddValue(-1))),)
+            )
+        )
+        system.run(until=system.now + 100.0)
+        assert done.value.committed
+        assert touched == {global_txn(301)}
+        drain(system)
+        assert opened.value.committed

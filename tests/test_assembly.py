@@ -78,3 +78,36 @@ def test_reopened_durable_system_floors_its_clock_and_finishes_the_decision(
     reopened = DurableDecisionLog.open_name("c1", durability)
     assert reopened.in_doubt() == []
     reopened.close()
+
+
+def _run_transfers(system, first, count):
+    outcomes = []
+    for n in range(first, first + count):
+        done = system.submit(
+            GlobalTransactionSpec.from_site_commands(
+                global_txn(n),
+                {
+                    "a": [UpdateItem("x", 1, AddValue(1))],
+                    "b": [UpdateItem("y", 1, AddValue(-1))],
+                },
+            )
+        )
+        system.run()
+        outcomes.append(done.value)
+    return outcomes
+
+
+def test_rebuilt_ticket_system_draws_tickets_above_its_sealed_high_water(tmp_path):
+    durability = DurabilityConfig(root=str(tmp_path), sync="simulated")
+    sealed = []
+    for rebuild in range(3):
+        system = MultidatabaseSystem.build(
+            "ticket", sites=("a", "b"), durability=durability
+        )
+        system.load("a", "x", {1: 0})
+        system.load("b", "y", {1: 0})
+        outcomes = _run_transfers(system, 1 + 3 * rebuild, 3)
+        system.close()
+        assert [o.committed for o in outcomes] == [True] * 3
+        sealed.extend(o.sn for o in outcomes)
+    assert sealed == sorted(sealed) and len(set(sealed)) == len(sealed)

@@ -625,6 +625,7 @@ class TestEagerRetryCoalescing:
                 commit_pending=True,
             )
             agent._states[state.txn] = state
+            agent._open[state.txn] = state
             return state
 
         def finalizable(n):

@@ -1,5 +1,7 @@
 """Unit tests for the session layer (repro.net.reliable)."""
 
+import pytest
+
 from repro.common.ids import global_txn
 from repro.kernel import EventKernel
 from repro.net.faults import FaultPlan, FaultyNetwork, Partition
@@ -198,6 +200,58 @@ class TestGiveUp:
         kernel.run()
         assert got == [1]
         assert session.dups_dropped == 1
+
+
+class TestRaisingHandler:
+    def test_a_raising_handler_does_not_wedge_its_channel(self):
+        """The message whose handler raised is consumed: the cursor and
+        the ack move past it, so the channel behind it keeps flowing
+        with no retransmits, and the error still reaches the caller."""
+        kernel, _net, session = make()
+        got = []
+
+        def receiver(m):
+            if m.payload == 0:
+                raise RuntimeError("handler bug")
+            got.append(m.payload)
+
+        wire(session, receiver)
+        for i in range(101):
+            session.send(msg("a", "b", i))
+        with pytest.raises(RuntimeError, match="handler bug"):
+            kernel.run()
+        kernel.run()
+        assert got == list(range(1, 101))
+        assert session.retransmits == 0
+        assert session.handler_errors == 1
+        assert [(m.payload, why) for m, why in session.dead_letters] == [
+            (0, "handler raised RuntimeError('handler bug')")
+        ]
+        assert session._send_states[("a", "b")].unacked == {}
+        assert kernel.pending == 0
+
+    def test_parked_messages_behind_a_raising_handler_are_delivered(self):
+        """An in-order arrival that unblocks parked messages delivers all
+        of them even when its own handler raises."""
+        kernel, net, session = make()
+        got = []
+
+        def receiver(m):
+            if m.payload == 0:
+                raise RuntimeError("handler bug")
+            got.append(m.payload)
+
+        wire(session, receiver)
+        for seq in (2, 1, 0):
+            parked = msg("a", "b", seq)
+            parked.session = (0, seq)
+            net.send(parked)
+            if seq:
+                kernel.run()
+        with pytest.raises(RuntimeError):
+            kernel.run()
+        assert got == [1, 2]
+        assert session._recv_states[("a", "b")].expected == 3
 
 
 class TestEndpointDown:

@@ -20,6 +20,7 @@ from repro.common.ids import global_txn
 from repro.net.messages import Message, MsgType
 from repro.net.reliable import ReliableConfig
 from repro.rt.codec import (
+    FRAME_CONTROL,
     FRAME_MESSAGE,
     FrameDecoder,
     encode_frame,
@@ -169,6 +170,172 @@ def test_corrupt_frame_closes_connection_but_session_recovers():
         await _wait_for(lambda: got == ["clean"], what="clean delivery")
 
         await a.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def _only_peer(host: ProtocolHost):
+    (peer,) = host.wire._peers.values()
+    return peer
+
+
+def test_frames_queued_while_the_writer_is_parked_leave_in_one_write():
+    """Every frame queued since the writer's last wake-up goes out in
+    one socket write, and the receiver dispatches them in order."""
+
+    async def scenario():
+        b = ProtocolHost("b", boot_id="boot-b")
+        bhost, bport = await b.start()
+        got = []
+        b.transport.register("ep:b", lambda m: got.append(m.payload))
+        a = ProtocolHost("a", boot_id="boot-a")
+        await a.start()
+        a.add_peer("b", bhost, bport, ["ep:b"])
+        a.transport.send(_msg(0, "warm"))
+        await _wait_for(lambda: got == ["warm"], what="first delivery")
+
+        writer = _only_peer(a).writer
+        writes = []
+        write = writer.write
+        writer.write = lambda data: (writes.append(data), write(data))[1]
+        payloads = [f"m{n}" for n in range(1, 51)]
+        for n, payload in enumerate(payloads, start=1):
+            a.transport.send(_msg(n, payload))
+        await _wait_for(lambda: len(got) == 51, what="the burst")
+        assert got == ["warm"] + payloads
+        assert len(writes) == 1
+        assert a.wire.frames_sent == 51
+
+        await a.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_failed_write_requeues_the_batch_in_order_and_delivers_once():
+    """A batch whose write fails goes back to the head of the queue in
+    order; after the reconnect the whole batch is written again, and
+    the session layer delivers each message exactly once."""
+
+    async def scenario():
+        b = ProtocolHost("b", reliable=FAST, boot_id="boot-b")
+        bhost, bport = await b.start()
+        got = []
+        b.transport.register("ep:b", lambda m: got.append(m.payload))
+        a = ProtocolHost("a", reliable=FAST, boot_id="boot-a")
+        ahost, aport = await a.start()
+        a.transport.register("ep:a", lambda m: None)
+        a.add_peer("b", bhost, bport, ["ep:b"])
+        b.add_peer("a", ahost, aport, ["ep:a"])
+        a.transport.send(_msg(0, "warm"))
+        await _wait_for(lambda: got == ["warm"], what="first delivery")
+
+        peer = _only_peer(a)
+        first = peer.writer
+        drain = first.drain
+
+        async def failing_drain():
+            # The bytes left; the connection dies before the writer
+            # learns so, as when a peer resets mid-batch.
+            await drain()
+            first.drain = drain
+            raise ConnectionResetError("injected")
+
+        first.drain = failing_drain
+        writes = []
+        write = asyncio.StreamWriter.write
+
+        def recording_write(writer, data):
+            if writer is first or writer is peer.writer:
+                writes.append((writer, bytes(data)))
+            return write(writer, data)
+
+        asyncio.StreamWriter.write = recording_write
+        try:
+            payloads = [f"m{n}" for n in range(1, 11)]
+            for n, payload in enumerate(payloads, start=1):
+                a.transport.send(_msg(n, payload))
+            await _wait_for(lambda: len(got) == 11, what="redelivery")
+            await asyncio.sleep(0.3)  # any duplicate dispatch would land here
+        finally:
+            asyncio.StreamWriter.write = write
+        assert got == ["warm"] + payloads
+        assert a.wire.reconnects == 2
+        # One write on the failing connection; on the new one, HELLO and
+        # then the same batch again, byte for byte.
+        (failed,) = [data for writer, data in writes if writer is first]
+        again = [data for writer, data in writes if writer is not first]
+        assert [body["payload"] for _kind, body in FrameDecoder().feed(failed)] == (
+            payloads
+        )
+        assert again[1] == failed
+        assert b.session.dups_dropped >= len(payloads)
+        await _wait_for(
+            lambda: not a.session._send_states[("ep:a", "ep:b")].unacked,
+            what="window drain",
+        )
+
+        await a.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_control_frame_between_two_messages_is_dispatched_in_arrival_order():
+    """Messages and control frames of one read are dispatched in
+    arrival order, from one kernel callback."""
+
+    async def scenario():
+        b = ProtocolHost("b", boot_id="boot-b")
+        bhost, bport = await b.start()
+        seen = []
+        b.transport.register("ep:b", lambda m: seen.append(m.payload))
+        b.wire.register_control("ctl:b", lambda body: seen.append(body["op"]))
+        callbacks = []
+        call_soon = b.kernel.call_soon
+        b.kernel.call_soon = lambda cb: (callbacks.append(cb), call_soon(cb))[1]
+
+        _reader, writer = await asyncio.open_connection(bhost, bport)
+        writer.write(
+            encode_message(_msg(1, "before"))
+            + encode_frame(FRAME_CONTROL, {"dst": "ctl:b", "op": "between"})
+            + encode_message(_msg(2, "after"))
+        )
+        await writer.drain()
+        await _wait_for(lambda: len(seen) == 3, what="dispatch")
+        assert seen == ["before", "between", "after"]
+        assert len(callbacks) == 1
+        writer.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_raising_handler_costs_only_its_own_message_in_a_read():
+    """One read's batch: a handler error is counted and contained, and
+    the messages after it are still delivered."""
+
+    async def scenario():
+        b = ProtocolHost("b", boot_id="boot-b")
+        bhost, bport = await b.start()
+        seen = []
+
+        def handler(m):
+            if m.payload == "bad":
+                raise RuntimeError("handler bug")
+            seen.append(m.payload)
+
+        b.transport.register("ep:b", handler)
+        _reader, writer = await asyncio.open_connection(bhost, bport)
+        writer.write(
+            b"".join(encode_message(_msg(n, p)) for n, p in enumerate(("bad", "ok")))
+        )
+        await writer.drain()
+        await _wait_for(lambda: seen == ["ok"], what="dispatch")
+        assert b.wire.protocol_errors == 1
+        assert b.wire.messages_delivered == 1
+        writer.close()
         await b.close()
 
     asyncio.run(scenario())
